@@ -145,26 +145,47 @@ def eval_series(coeffs: ChebCoeffs, y):
     return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
+def endpoint_row(m: int, endpoint: int, order: int) -> np.ndarray:
+    """Weights w with u^(order)(endpoint) = a[0] w[0] + sum_{n>=1} a[n] w[n].
+
+    T_n^(k)(+-1) = (+-1)^(n+k) prod_{j<k} (n^2 - j^2)/(2j+1), and w[0] carries
+    the halved a[0].  Every partial product is a derivative of T_n at 1, an
+    integer, so multiplying before dividing keeps the weights exact up to
+    2^53.  The cost is O(M) at any M: no grid values, no dense matrix.
+    """
+    if endpoint not in (1, -1):
+        raise ValueError("endpoint must be +1 or -1")
+    if order < 0:
+        raise ValueError("derivative order must be >= 0")
+    n2 = np.arange(m + 1, dtype=float) ** 2
+    w = np.ones(m + 1)
+    for j in range(order):
+        w *= n2 - j * j
+        w /= 2 * j + 1
+    w[0] *= 0.5
+    if endpoint == -1:
+        w[(order + 1) % 2 :: 2] *= -1.0
+    return w
+
+
+def apply_endpoint_row(coeffs: ChebCoeffs, row: np.ndarray) -> float:
+    """The endpoint functional of an endpoint_row (or a combination of them).
+
+    Summed as a[0] w[0] + sum(a[1:] w[1:]) rather than a dot product, which
+    keeps order-0 rows bitwise equal to the plain endpoint sums.
+    """
+    a = coeffs.a
+    return float(a[0] * row[0] + (a[1:] * row[1:]).sum())
+
+
+def endpoint_derivative(coeffs: ChebCoeffs, endpoint: int, order: int) -> float:
+    """Series derivative u^(order)(+-1); order 0 is the endpoint value."""
+    return apply_endpoint_row(coeffs, endpoint_row(coeffs.m, endpoint, order))
+
+
 def eval_endpoints(coeffs: ChebCoeffs) -> tuple[float, float]:
     """(u(+1), u(-1)) from coefficients: u(+-1) = a0/2 + sum (+-1)^j a_j."""
-    a = coeffs.a
-    signs = np.ones_like(a)
-    signs[1::2] = -1.0
-    plus = a[0] / 2.0 + a[1:].sum()
-    minus = a[0] / 2.0 + (a * signs)[1:].sum()
-    return float(plus), float(minus)
-
-
-def endpoint_derivative(coeffs: ChebCoeffs, endpoint: int) -> float:
-    """Series derivative at +-1 from T_n'(+-1) = (+-1)^(n+1) n^2."""
-    a = coeffs.a
-    n = np.arange(len(a), dtype=float)
-    w = n * n
-    if endpoint == -1:
-        w = w * (-1.0) ** (n + 1)
-    elif endpoint != 1:
-        raise ValueError("endpoint must be +1 or -1")
-    return float(np.dot(a[1:], w[1:]))
+    return endpoint_derivative(coeffs, 1, 0), endpoint_derivative(coeffs, -1, 0)
 
 
 def integrate_coeffs(coeffs: ChebCoeffs) -> ChebCoeffs:

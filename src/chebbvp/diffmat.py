@@ -6,9 +6,10 @@ the off-diagonals, so constants map to zero exactly (the stable choice).
 Second derivatives are formed as the square of the first-derivative matrix,
 which is fine at the small per-interval orders used on piecewise grids.
 
-Endpoint rows of D^d, used as derivative boundary rows, are built without
-materializing the full matrix for d = 1, so they remain available at the
-large grid orders the single-interval solver needs.
+The endpoint rows of D, used by the piecewise collocation backend for its
+derivative boundary and interface rows, are built without materializing the
+full matrix.  Boundary conditions of the spectral solvers do not use them:
+they read endpoint derivatives from the Chebyshev coefficients.
 """
 
 from __future__ import annotations
@@ -64,8 +65,11 @@ def build_diffmat(m: int) -> DiffMatrix:
     return DiffMatrix(m, d)
 
 
-def _first_derivative_row(m: int, endpoint: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def diff_endpoint_row(m: int, endpoint: int) -> np.ndarray:
     """Row of the differentiation matrix at y = +1 (row 0) or y = -1 (row M)."""
+    if endpoint not in (1, -1):
+        raise ValueError("endpoint must be +1 or -1")
     y = cheb_points(m).points
     c = _weights(m)
     signs = (-1.0) ** np.arange(m + 1)
@@ -74,24 +78,6 @@ def _first_derivative_row(m: int, endpoint: int) -> np.ndarray:
     k = np.arange(m + 1) != j
     row[k] = (c[j] / c[k]) * signs[j] * signs[k] / (y[j] - y[k])
     row[j] = -row.sum()  # full-row sum, bitwise identical to the matrix path
-    return row
-
-
-@lru_cache(maxsize=64)
-def diff_endpoint_row(m: int, endpoint: int, order: int) -> np.ndarray:
-    """Endpoint row of the order-th power of the differentiation matrix."""
-    if endpoint not in (1, -1):
-        raise ValueError("endpoint must be +1 or -1")
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
-    if order == 1:
-        row = _first_derivative_row(m, endpoint)
-    else:
-        d = build_diffmat(m).entries
-        row = d[0 if endpoint == 1 else m]
-        for _ in range(order - 1):
-            row = row @ d
-    row = row.copy()
     row.setflags(write=False)
     return row
 

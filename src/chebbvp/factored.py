@@ -8,10 +8,10 @@ holds the quantity with k "derivatives" relative to the level-0 solution, so
 level 0 of the particular chain satisfies L u = f discretely and level 0 of
 each homogeneous chain satisfies L u = 0.
 
-The boundary conditions are fitted last: every basis solution is reduced to
-grid values, order-0 conditions read the endpoint values (evaluated exactly
-in coefficient space), order-d conditions apply the endpoint row of the d-th
-power of the differentiation matrix, and the resulting r x r dense system
+The boundary conditions are fitted last.  Each condition is one linear
+functional of the Chebyshev coefficients, a weighted sum of the closed-form
+endpoint derivative rows T_n^(d)(+-1); it is applied to every basis solution
+and to the particular solution, and the resulting r x r dense system
 determines the combination constants.  The badly under-resolved pieces of
 the particular and homogeneous solutions cancel in this combination, which
 is why the grid only needs to resolve the boundary-fitted solution.
@@ -20,13 +20,13 @@ is why the grid only needs to resolve the boundary-fitted solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable, Union
 
 import numpy as np
 
 from .banded import SingularSystemError, dense_solve
-from .chebyshev import ChebCoeffs, GridValues, eval_endpoints, function_to_coeffs, to_coeffs, to_values
-from .diffmat import diff_endpoint_row
+from .chebyshev import ChebCoeffs, GridValues, apply_endpoint_row, endpoint_row, function_to_coeffs, to_coeffs
 from .integration import (
     FirstOrderOp,
     SecondOrderOp,
@@ -79,6 +79,8 @@ class BoundaryCondition:
             raise ValueError("boundary condition needs a nonzero weight")
         if any(d < 0 for d, _ in ws):
             raise ValueError("derivative orders must be nonnegative")
+        if not all(isfinite(w) for _, w in ws) or not isfinite(self.value):
+            raise ValueError("boundary-condition weights and value must be finite")
         object.__setattr__(self, "weights", ws)
 
     @staticmethod
@@ -92,6 +94,10 @@ class BoundaryCondition:
     @property
     def max_order(self) -> int:
         return max(d for d, _ in self.weights)
+
+    def row(self, m: int) -> np.ndarray:
+        """Coefficient-space row of the condition on an order-m series."""
+        return sum(w * endpoint_row(m, self.endpoint, d) for d, w in self.weights)
 
 
 @dataclass(frozen=True)
@@ -169,41 +175,28 @@ def solve_chains(op: OperatorFactorization, f: ChebCoeffs) -> ChainSolution:
     return ChainSolution(op, f.m, solve_particular_chain(op, f), homo)
 
 
-def endpoint_functional(coeffs: ChebCoeffs, endpoint: int, order: int, values: np.ndarray | None = None) -> float:
-    """u^(order)(endpoint): endpoint values for order 0, diffmat rows above."""
-    if order == 0:
-        plus, minus = eval_endpoints(coeffs)
-        return plus if endpoint == 1 else minus
-    row = diff_endpoint_row(coeffs.m, endpoint, order)
-    if values is None:
-        values = to_values(coeffs).v
-    return float(row @ values)
-
-
-def _bc_apply(bc: BoundaryCondition, coeffs: ChebCoeffs, values: np.ndarray | None) -> float:
-    return sum(w * endpoint_functional(coeffs, bc.endpoint, d, values) for d, w in bc.weights)
-
-
-def fit_boundary(chain: ChainSolution, bcs: list[BoundaryCondition]) -> Solution:
-    """Fit the r combination constants to r boundary conditions."""
-    r = chain.operator.order
+def check_boundary_conditions(bcs: list[BoundaryCondition], r: int):
+    """An order-r operator takes exactly r conditions, each of order below r."""
     if len(bcs) != r:
         raise ValueError(f"operator of order {r} needs exactly {r} boundary conditions, got {len(bcs)}")
     for bc in bcs:
         if bc.max_order >= r:
             raise ValueError(f"boundary derivative order {bc.max_order} must be < operator order {r}")
+
+
+def fit_boundary(chain: ChainSolution, bcs: list[BoundaryCondition]) -> Solution:
+    """Fit the r combination constants to r boundary conditions."""
+    r = chain.operator.order
+    check_boundary_conditions(bcs, r)
     basis = [chain.homogeneous[h][0] for h in range(r)]
     part = chain.particular[0]
-    needs_values = any(d > 0 for bc in bcs for d, _ in bc.weights)
-    basis_vals = [to_values(b).v if needs_values else None for b in basis]
-    part_vals = to_values(part).v if needs_values else None
 
     mat = np.empty((r, r))
     rhs = np.empty(r)
     for i, bc in enumerate(bcs):
-        for j in range(r):
-            mat[i, j] = _bc_apply(bc, basis[j], basis_vals[j])
-        rhs[i] = bc.value - _bc_apply(bc, part, part_vals)
+        row = bc.row(chain.m)
+        mat[i] = [apply_endpoint_row(b, row) for b in basis]
+        rhs[i] = bc.value - apply_endpoint_row(part, row)
     try:
         constants = dense_solve(mat, rhs)
     except SingularSystemError as exc:

@@ -13,7 +13,9 @@ an all-linear factorization at r = 2 is exactly the ((D - w b/2) u_i)(1)/w_i
 derivative-continuity condition.  Inside a quadratic block only even levels
 exist, so the odd orders there match the series endpoint derivative of the
 level below instead; both functionals are linear in the coefficients and
-the two reduce to the same continuity requirements.
+the two reduce to the same continuity requirements.  Interface and boundary
+rows read endpoints through ``chebyshev.endpoint_derivative``, the same
+coefficient-space functional as the single-grid boundary fit.
 
 A second backend discretizes each interval with a scaled differentiation
 matrix, collocates at interior points, and shares interface values between
@@ -44,10 +46,10 @@ from .banded import SingularSystemError, dense_solve
 from .chebyshev import (
     ChebCoeffs,
     GridValues,
+    apply_endpoint_row,
     cheb_points,
     dense_sample,
     endpoint_derivative,
-    eval_endpoints,
     eval_series,
     to_coeffs,
 )
@@ -63,7 +65,7 @@ from .factored import (
     ChainLevels,
     OperatorFactorization,
     Solution,
-    _bc_apply,
+    check_boundary_conditions,
     solve_bvp,
     solve_chains,
 )
@@ -144,16 +146,9 @@ def _level_functional(levels: ChainLevels, present: set[int], j: int, endpoint: 
     Levels above a homogeneous chain's start are annihilated by the factors
     already applied, hence contribute exactly zero.
     """
-    if j in present:
-        c = levels.get(j)
-        if c is None:
-            return 0.0
-        plus, minus = eval_endpoints(c)
-        return plus if endpoint == 1 else minus
-    c = levels.get(j - 1)
-    if c is None:
-        return 0.0
-    return endpoint_derivative(c, endpoint)
+    level, order = (j, 0) if j in present else (j - 1, 1)
+    c = levels.get(level)
+    return 0.0 if c is None else endpoint_derivative(c, endpoint, order)
 
 
 def _scaled_bc(bc: BoundaryCondition, half_width: float) -> BoundaryCondition:
@@ -171,11 +166,7 @@ def piecewise_solve_spectral(
     """Spectral-integration backend: factored chains per interval + interface fit."""
     r = op.order
     n = grid.n_intervals
-    if len(bcs) != r:
-        raise ValueError(f"operator of order {r} needs exactly {r} boundary conditions")
-    for bc in bcs:
-        if bc.max_order >= r:
-            raise ValueError("boundary derivative orders must be below the operator order")
+    check_boundary_conditions(bcs, r)
     for m in grid.orders:
         if m < r + 3:
             raise ValueError(f"spectral backend needs every interval order >= {r + 3}")
@@ -205,10 +196,10 @@ def piecewise_solve_spectral(
     row = 0
     for bc in bcs:
         i = 0 if bc.endpoint == -1 else n - 1
-        local = _scaled_bc(bc, halves[i])
+        bc_row = _scaled_bc(bc, halves[i]).row(grid.orders[i])
         for h in range(r):
-            mat[row, col(i, h)] = _bc_apply(local, chains[i].homogeneous[h][0], None)
-        rhs_vec[row] = bc.value - _bc_apply(local, chains[i].particular[0], None)
+            mat[row, col(i, h)] = apply_endpoint_row(chains[i].homogeneous[h][0], bc_row)
+        rhs_vec[row] = bc.value - apply_endpoint_row(chains[i].particular[0], bc_row)
         row += 1
 
     for i in range(n - 1):  # node between interval i and i+1
@@ -303,11 +294,7 @@ def piecewise_solve_diffmat(
     """
     second = _global_second_order(op)
     n = grid.n_intervals
-    if len(bcs) != 2:
-        raise ValueError("second-order problem needs exactly 2 boundary conditions")
-    for bc in bcs:
-        if bc.max_order >= 2:
-            raise ValueError("boundary derivative orders must be below the operator order")
+    check_boundary_conditions(bcs, 2)
     for m in grid.orders:
         if m < 2:
             raise ValueError("differentiation-matrix backend needs every interval order >= 2")
@@ -354,8 +341,8 @@ def piecewise_solve_diffmat(
         cols_r = np.array([gidx(i + 1, k) for k in range(orders[i + 1] + 1)])
         wl = halves[i] * _endpoint_weight(orders[i])
         wr = halves[i + 1] * _endpoint_weight(orders[i + 1])
-        mat[row, cols_l] += wl * ends[i][0] - p * diff_endpoint_row(orders[i], 1, 1) / halves[i]
-        mat[row, cols_r] += wr * ends[i + 1][1] + p * diff_endpoint_row(orders[i + 1], -1, 1) / halves[i + 1]
+        mat[row, cols_l] += wl * ends[i][0] - p * diff_endpoint_row(orders[i], 1) / halves[i]
+        mat[row, cols_r] += wr * ends[i + 1][1] + p * diff_endpoint_row(orders[i + 1], -1) / halves[i + 1]
         rhs_vec[row] = wl * ends[i][2] + wr * ends[i + 1][3]
         row += 1
 
@@ -365,8 +352,8 @@ def piecewise_solve_diffmat(
         for d, w in bc.weights:
             if d == 0:
                 mat[row, gidx(i, orders[i] if bc.endpoint == -1 else 0)] += w
-            else:
-                mat[row, cols] += w * diff_endpoint_row(orders[i], bc.endpoint, d) / halves[i] ** d
+            else:  # d == 1
+                mat[row, cols] += w * diff_endpoint_row(orders[i], bc.endpoint) / halves[i]
         rhs_vec[row] = bc.value
         row += 1
 

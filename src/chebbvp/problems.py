@@ -90,9 +90,12 @@ def _number(token: str, line: int) -> float:
     if token == "-pi":
         return -math.pi
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ProblemFormatError(f"malformed number {token!r}", line) from None
+    if not math.isfinite(value):
+        raise ProblemFormatError(f"number {token!r} is not finite", line)
+    return value
 
 
 def parse_rhs_expr(text: str, line: int = 0) -> Callable[[np.ndarray], np.ndarray]:

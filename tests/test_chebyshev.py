@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as npcheb
 
 from chebbvp.chebyshev import (
     ChebCoeffs,
@@ -162,11 +163,19 @@ class TestEndpoints:
         assert abs(plus - eval_series(c, 1.0)) <= 1e-14 * scale
         assert abs(minus - eval_series(c, -1.0)) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 0, 3, 20])
     def test_endpoint_derivative_of_modes(self, n):
-        c = ChebCoeffs.unit(10, n)
-        assert endpoint_derivative(c, 1) == pytest.approx(n * n, rel=1e-15)
-        assert endpoint_derivative(c, -1) == pytest.approx((-1) ** (n + 1) * n * n, rel=1e-15)
+        # T_n^(k)(+-1) for k = 0..4 are integers below 2^53 for n <= 20, so
+        # the closed form must match chebder exactly
+        c = ChebCoeffs.unit(21, n)
+        mode = np.zeros(n + 1)
+        mode[n] = 1.0
+        for k in range(5):
+            deriv = npcheb.chebder(mode, k)
+            for endpoint in (1, -1):
+                assert endpoint_derivative(c, endpoint, k) == npcheb.chebval(endpoint, deriv)
+        if n == 3:
+            assert endpoint_derivative(c, 1, 2) == 24.0  # (4y^3 - 3y)'' = 24 y
 
 
 class TestIntegration:

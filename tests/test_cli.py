@@ -5,6 +5,7 @@ import pytest
 
 from chebbvp.cli import builtin_spec_text, main, reproduce_tables, run
 from chebbvp.diffmat import AffineConvectionOp
+from chebbvp.factored import BoundaryCondition
 from chebbvp.problems import (
     ProblemFormatError,
     exact_function,
@@ -76,6 +77,19 @@ class TestParseProblem:
     def test_unknown_section(self):
         with pytest.raises(ProblemFormatError, match="unknown section"):
             parse_problem("[stuff]\nx = 1\n")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("value=0", "value=nan"), ("d0=1", "d0=nan"), ("const:0", "nan*sinpi"), ("linear 1", "linear inf")],
+    )
+    def test_non_finite_number(self, old, new):
+        with pytest.raises(ProblemFormatError, match=r"line \d+: number .* is not finite"):
+            parse_problem(MINIMAL_FIRST_ORDER.replace(old, new))
+
+    @pytest.mark.parametrize("weights, value", [(((0, float("nan")),), 0.0), (((0, 1.0),), float("inf"))])
+    def test_boundary_condition_rejects_non_finite(self, weights, value):
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryCondition(-1, weights, value)
 
 
 class TestBuiltinFunctions:
@@ -204,6 +218,15 @@ class TestMain:
     def test_solve_tolerance_failure(self, tmp_path, capsys):
         path = self._spec_path(tmp_path, builtin_spec_text("table1b.spec"))
         assert main(["solve", path, "--tol", "1e-30"]) == 1
+
+    def test_solve_tolerance_failure_on_nan_error(self, tmp_path, capsys):
+        # the right-hand side overflows to inf, so the solution and its error are NaN
+        text = MINIMAL_FIRST_ORDER.replace("const:0", "1e308*one + 1e308*one") + "[exact]\nname = const:0\n"
+        path = self._spec_path(tmp_path, text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", path, "--tol", "1e-9"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "spectral,16,nan"
 
     def test_solve_parse_error(self, tmp_path, capsys):
         path = self._spec_path(tmp_path, "[operator]\nlinear nope\n")

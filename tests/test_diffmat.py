@@ -73,18 +73,11 @@ class TestEndpointRows:
     def test_first_derivative_row_matches_matrix(self, endpoint):
         m = 20
         d = build_diffmat(m).entries
-        row = diff_endpoint_row(m, endpoint, 1)
+        row = diff_endpoint_row(m, endpoint)
         np.testing.assert_array_equal(row, d[0 if endpoint == 1 else m])
 
-    def test_second_derivative_row(self):
-        m = 16
-        row = diff_endpoint_row(m, 1, 2)
-        y = cheb_points(m).points
-        # (T_3)'' = 24 y at +1 -> 24
-        assert row @ (4 * y**3 - 3 * y) == pytest.approx(24.0, abs=1e-9)
-
     def test_large_order_first_derivative_available(self):
-        row = diff_endpoint_row(8192, -1, 1)
+        row = diff_endpoint_row(8192, -1)
         y = cheb_points(8192).points
         assert row @ (y**2) == pytest.approx(-2.0, abs=1e-6)
 

@@ -170,17 +170,20 @@ def table_1e_bcs():
     ]
 
 
+def fourth_order_ops(a, b):
+    """(D-a)(D+a)(D-b)(D+b) as four linear factors and as two quadratic ones."""
+    return (
+        OperatorFactorization(linear=(FirstOrderOp(a), FirstOrderOp(-a), FirstOrderOp(b), FirstOrderOp(-b))),
+        OperatorFactorization(quadratic=(SecondOrderOp(0.0, -a * a), SecondOrderOp(0.0, -b * b))),
+    )
+
+
 class TestTable1e:
     def test_both_factorizations(self):
         a, b = 1e6, 2e6
         rhs = lambda y: np.full_like(y, a * a * b * b)
         exact = table_1e_exact(a, b)
-        op_lin = OperatorFactorization(
-            linear=(FirstOrderOp(a), FirstOrderOp(-a), FirstOrderOp(b), FirstOrderOp(-b))
-        )
-        op_quad = OperatorFactorization(
-            quadratic=(SecondOrderOp(0.0, -a * a), SecondOrderOp(0.0, -b * b))
-        )
+        op_lin, op_quad = fourth_order_ops(a, b)
         e1 = grid_error(solve_bvp(op_lin, rhs, table_1e_bcs(), m=16384), exact)
         e2 = grid_error(solve_bvp(op_quad, rhs, table_1e_bcs(), m=16384), exact)
         assert e1 <= 1e-7 and e2 <= 1e-7
@@ -197,6 +200,54 @@ class TestTable1e:
         unorm = np.max(np.abs(vals))
         assert abs(vals[0]) <= 1e-10 * unorm
         assert abs(vals[-1]) <= 1e-10 * unorm
+
+
+# (D^2 - 1)(D^2 - 4) u = f for the manufactured u = sin(pi y) + y^3
+MANUFACTURED_OP = OperatorFactorization(quadratic=(SecondOrderOp(0.0, -1.0), SecondOrderOp(0.0, -4.0)))
+MANUFACTURED = {  # derivative order -> u^(order)
+    0: lambda y: np.sin(np.pi * y) + y**3,
+    2: lambda y: -np.pi**2 * np.sin(np.pi * y) + 6 * y,
+    3: lambda y: -np.pi**3 * np.cos(np.pi * y) + 6,
+}
+
+
+def manufactured_f(y):
+    return (np.pi**4 + 5 * np.pi**2 + 4) * np.sin(np.pi * y) - 30 * y + 4 * y**3
+
+
+class TestHighOrderConditions:
+    """u'' and u''' conditions are read from the coefficients, at any M."""
+
+    @pytest.mark.parametrize("m", [8192, 65536])
+    @pytest.mark.parametrize("factorization", ["linear", "quadratic"])
+    def test_second_derivative_conditions_at_large_m(self, m, factorization):
+        a, b = 1e5, 2e5
+        ta, tb = np.tanh(a), np.tanh(b)
+        # cosh_pair has phi_x'' = x^2 phi_x and phi_x(+-1) = 1
+        upp = a * b * (b * ta - a * tb) / (b * tb - a * ta)
+        bcs = [
+            dirichlet(-1, 0.0),
+            dirichlet(1, 0.0),
+            BoundaryCondition.derivative(-1, 2, upp),
+            BoundaryCondition.derivative(1, 2, upp),
+        ]
+        op = fourth_order_ops(a, b)[factorization == "quadratic"]
+        sol = solve_bvp(op, lambda y: np.full_like(y, a * a * b * b), bcs, m=m)
+        assert grid_error(sol, table_1e_exact(a, b)) <= 1e-9
+
+    # The u''' row weights T_n'''(+-1) = n^2 (n^2 - 1)(n^2 - 4)/15 grow like
+    # M^6, so rounding in the chains' highest coefficients reaches the fitted
+    # constants.  At M = 8192 this measured 3.9e-11 for (u, u''') and 2.0e-9
+    # for (u'', u'''); the bounds are ten times that.
+    @pytest.mark.parametrize("low_order, bound", [(0, 4e-10), (2, 2e-8)])
+    def test_third_derivative_conditions_at_large_m(self, low_order, bound):
+        bcs = [
+            BoundaryCondition.derivative(end, order, MANUFACTURED[order](end))
+            for order in (low_order, 3)
+            for end in (-1, 1)
+        ]
+        sol = solve_bvp(MANUFACTURED_OP, manufactured_f, bcs, m=8192)
+        assert grid_error(sol, MANUFACTURED[0]) <= bound
 
 
 class TestCancellation:

@@ -136,6 +136,21 @@ class TestSpectralBackend:
         sol = piecewise_solve_spectral(op, f, grid, bcs)
         assert sup_error(sol, np.cos, refine=2000) <= 1e-12
 
+    def test_second_derivative_conditions_two_intervals(self):
+        # (D^2 - 1)(D^2 - 4) u = f with u = sin(pi y) + y^3, u'' = -pi^2 sin(pi y) + 6 y
+        op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, -1.0), SecondOrderOp(0.0, -4.0)))
+        exact = lambda y: np.sin(np.pi * y) + y**3
+        f = lambda y: (np.pi**4 + 5 * np.pi**2 + 4) * np.sin(np.pi * y) - 30 * y + 4 * y**3
+        bcs = [
+            D(-1, -1.0),
+            D(1, 1.0),
+            BoundaryCondition.derivative(-1, 2, -6.0),
+            BoundaryCondition.derivative(1, 2, 6.0),
+        ]
+        grid = PiecewiseGrid(np.array([-1.0, 0.3, 1.0]), (24, 32))
+        sol = piecewise_solve_spectral(op, f, grid, bcs)
+        assert sup_error(sol, exact, refine=2000) <= 1e-12
+
     def test_refinement_sanity(self):
         op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, 2.0),))
         f = lambda y: (2 - np.pi**2) * np.sin(np.pi * y)
@@ -184,7 +199,7 @@ def matched_level_jumps(op, f, grid, sol):
                 return 0.0
             if j in present:
                 return eval_endpoints(c)[side]
-            return endpoint_derivative(c, endpoint)
+            return endpoint_derivative(c, endpoint, 1)
 
         return val(chain.particular) + sum(
             sol.constants[idx, h] * val(chain.homogeneous[h]) for h in range(r)
@@ -224,7 +239,7 @@ class TestContinuity:
             wl, wr = grid.widths[i], grid.widths[i + 1]
             vl = to_values(sol.local_coeffs[i]).v
             vr = to_values(sol.local_coeffs[i + 1]).v
-            rl, rr = diff_endpoint_row(32, 1, 1), diff_endpoint_row(32, -1, 1)
+            rl, rr = diff_endpoint_row(32, 1), diff_endpoint_row(32, -1)
             jump = (2 / wl) * (rl @ vl) - (2 / wr) * (rr @ vr)
             rowscale = max((2 / wl) * np.abs(rl) @ np.abs(vl), (2 / wr) * np.abs(rr) @ np.abs(vr))
             assert abs(jump) <= 1e-9 * rowscale
@@ -414,8 +429,8 @@ class TestInternalLayer:
         for i in range(4):
             row = 5 * 31 + i
             a[row] = 0.0
-            a[row, 32 * i : 32 * i + 33] += diff_endpoint_row(32, 1, 1)[::-1] / halves[i]
-            a[row, 32 * i + 32 : 32 * i + 65] -= diff_endpoint_row(32, -1, 1)[::-1] / halves[i + 1]
+            a[row, 32 * i : 32 * i + 33] += diff_endpoint_row(32, 1)[::-1] / halves[i]
+            a[row, 32 * i + 32 : 32 * i + 65] -= diff_endpoint_row(32, -1)[::-1] / halves[i + 1]
             b[row] = 0.0
         piecewise_module._equilibrate_rows(a, b)
         nodal, series = self._overshoots(grid, self._exact_solve(mp, a, b))
