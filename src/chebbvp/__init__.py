@@ -53,16 +53,11 @@ from .factored import (
     fit_boundary,
     solve_bvp,
     solve_chains,
-    solve_homogeneous_chain,
-    solve_particular_chain,
 )
 from .integration import (
     FirstOrderOp,
     SecondOrderOp,
-    first_order_homogeneous,
     first_order_particular,
-    second_order_homogeneous_1,
-    second_order_homogeneous_2,
     second_order_particular,
 )
 from .piecewise import (
@@ -113,7 +108,6 @@ __all__ = [
     "eval_piecewise",
     "eval_series",
     "exact_function",
-    "first_order_homogeneous",
     "first_order_particular",
     "fit_boundary",
     "function_to_coeffs",
@@ -126,14 +120,10 @@ __all__ = [
     "piecewise_solve_spectral",
     "rescale_operator",
     "sample_piecewise",
-    "second_order_homogeneous_1",
-    "second_order_homogeneous_2",
     "second_order_particular",
     "singular_spectrum",
     "solve_bvp",
     "solve_chains",
-    "solve_homogeneous_chain",
-    "solve_particular_chain",
     "spectrum_csv",
     "to_coeffs",
     "to_values",

@@ -1,12 +1,15 @@
 """Boundary value problems for operators given in factored form.
 
 An operator L = (D-a_1)...(D-a_m)(D^2+b_1 D+c_1)...(D^2+b_n D+c_n) of order
-r = m + 2n is solved by chaining the first- and second-order solvers: one
-particular chain driven by f and r homogeneous chains, each started from the
-factor it belongs to under normalized integral conditions.  Chain level k
-holds the quantity with k "derivatives" relative to the level-0 solution, so
-level 0 of the particular chain satisfies L u = f discretely and level 0 of
-each homogeneous chain satisfies L u = 0.
+r = m + 2n is solved by chaining the first- and second-order solvers.
+``solve_chains`` walks the factors once, in order.  At each factor, every
+chain already running gets one particular solve through it (the particular
+chain, driven by f, first), and then the factor starts its own homogeneous
+chains: one for a linear factor, normalized to T_0 = 1, and two for a
+quadratic one, normalized to T_0 = 1 and to T_1 = 1.  Chain level k holds
+the quantity with k "derivatives" relative to the level-0 solution, so level
+0 of the particular chain satisfies L u = f discretely and level 0 of each
+homogeneous chain satisfies L u = 0.
 
 The boundary conditions are fitted last.  Each condition is one linear
 functional of the Chebyshev coefficients, a weighted sum of the closed-form
@@ -27,17 +30,7 @@ import numpy as np
 
 from .banded import SingularSystemError, dense_solve
 from .chebyshev import ChebCoeffs, GridValues, apply_endpoint_row, endpoint_row, function_to_coeffs, to_coeffs
-from .integration import (
-    FirstOrderOp,
-    SecondOrderOp,
-    first_order_homogeneous,
-    first_order_particular,
-    second_order_homogeneous_1,
-    second_order_homogeneous_2,
-    second_order_particular,
-)
-
-ChainLevels = dict[int, ChebCoeffs]
+from .integration import FirstOrderOp, SecondOrderOp, first_order_particular, second_order_particular
 
 
 @dataclass(frozen=True)
@@ -56,11 +49,6 @@ class OperatorFactorization:
     @property
     def order(self) -> int:
         return len(self.linear) + 2 * len(self.quadratic)
-
-    def chain_levels(self) -> set[int]:
-        """Levels at which chain intermediates exist (level 0 always does)."""
-        m, n = len(self.linear), len(self.quadratic)
-        return {m + 2 * n - j for j in range(1, m + 1)} | {2 * (n - k) for k in range(1, n + 1)} | {0}
 
 
 @dataclass(frozen=True)
@@ -102,12 +90,17 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """Particular and homogeneous chains of one operator on one grid."""
+    """Particular and homogeneous chains of one operator on one grid.
+
+    levels[k] holds level k of the particular chain, then of homogeneous
+    chains 1, 2, ... in the order the factors start them.  A homogeneous
+    chain started below level k has no entry there: the factors above its
+    start annihilate it, so it is exactly zero at level k.
+    """
 
     operator: OperatorFactorization
     m: int
-    particular: ChainLevels
-    homogeneous: tuple[ChainLevels, ...]
+    levels: dict[int, tuple[ChebCoeffs, ...]]
 
 
 @dataclass(frozen=True)
@@ -119,60 +112,38 @@ class Solution:
     chain: ChainSolution = field(repr=False)
 
 
-def solve_particular_chain(op: OperatorFactorization, f: ChebCoeffs) -> ChainLevels:
-    """Chain of particular solves from (D - a_1) u_{r-1} = f down to level 0."""
-    _check_order(op, f.m)
-    r, nq = op.order, len(op.quadratic)
-    levels: ChainLevels = {}
-    cur = f
-    for j, lin in enumerate(op.linear, start=1):
-        cur = first_order_particular(lin, cur)
-        levels[r - j] = cur
-    for k, quad in enumerate(op.quadratic, start=1):
-        cur = second_order_particular(quad, cur)
-        levels[2 * (nq - k)] = cur
-    return levels
-
-
-def solve_homogeneous_chain(op: OperatorFactorization, h: int, m: int) -> ChainLevels:
-    """Chain of the h-th homogeneous solution (1 <= h <= r).
-
-    h <= m_lin starts from (D - a_h) u = 0 with T_0 = 1; h = m_lin + 2i - 1
-    and h = m_lin + 2i start from the i-th quadratic factor with T_0 = 1,
-    T_1 = 0 and T_0 = 0, T_1 = 1 respectively.  The start is pushed through
-    every remaining factor under zero integral conditions.
-    """
-    _check_order(op, m)
-    mlin, nq = len(op.linear), len(op.quadratic)
-    r = op.order
-    if not 1 <= h <= r:
-        raise ValueError(f"homogeneous index must be in 1..{r}")
-    levels: ChainLevels = {}
-    if h <= mlin:
-        cur = first_order_homogeneous(op.linear[h - 1], m)
-        levels[r - h] = cur
-        start_quad = 1
-        for j in range(h + 1, mlin + 1):
-            cur = first_order_particular(op.linear[j - 1], cur)
-            levels[r - j] = cur
-    else:
-        i = (h - mlin + 1) // 2
-        quad = op.quadratic[i - 1]
-        if (h - mlin) % 2 == 1:
-            cur = second_order_homogeneous_1(quad, m)
-        else:
-            cur = second_order_homogeneous_2(quad, m)
-        levels[2 * (nq - i)] = cur
-        start_quad = i + 1
-    for k in range(start_quad, nq + 1):
-        cur = second_order_particular(op.quadratic[k - 1], cur)
-        levels[2 * (nq - k)] = cur
-    return levels
-
-
 def solve_chains(op: OperatorFactorization, f: ChebCoeffs) -> ChainSolution:
-    homo = tuple(solve_homogeneous_chain(op, h, f.m) for h in range(1, op.order + 1))
-    return ChainSolution(op, f.m, solve_particular_chain(op, f), homo)
+    """Particular and homogeneous chains, built in one pass over the factors.
+
+    Every chain already running is pushed through each factor by one
+    particular solve under zero integral conditions.  The factor then starts
+    its own homogeneous chains the roundabout way, as 1/2 + u* (or T_1 + u*)
+    with u* the particular solution for minus the factor applied to 1/2 (or
+    T_1).  Each start shares the factor's banded factorization with every
+    other solve through it.
+    """
+    _check_order(op, f.m)
+    m, level = f.m, op.order
+    running = [f]
+    levels: dict[int, tuple[ChebCoeffs, ...]] = {}
+    for factor in op.linear + op.quadratic:
+        if isinstance(factor, FirstOrderOp):
+            solve, level = first_order_particular, level - 1
+            # forcing a/2, whose stored T_0 coefficient is a
+            starts = ((0, (factor.a,)),)
+        else:
+            solve, level = second_order_particular, level - 2
+            # forcings -c/2 (for 1/2) and -(b + c T_1) (for T_1), stored
+            starts = ((0, (-factor.c,)), (1, (-2.0 * factor.b, -factor.c)))
+        running = [solve(factor, c) for c in running]
+        for unit, forcing in starts:
+            g = np.zeros(m + 1)
+            g[: len(forcing)] = forcing
+            a = solve(factor, ChebCoeffs(m, g)).a.copy()
+            a[unit] = 1.0
+            running.append(ChebCoeffs(m, a))
+        levels[level] = tuple(running)
+    return ChainSolution(op, m, levels)
 
 
 def check_boundary_conditions(bcs: list[BoundaryCondition], r: int):
@@ -188,23 +159,30 @@ def fit_boundary(chain: ChainSolution, bcs: list[BoundaryCondition]) -> Solution
     """Fit the r combination constants to r boundary conditions."""
     r = chain.operator.order
     check_boundary_conditions(bcs, r)
-    basis = [chain.homogeneous[h][0] for h in range(r)]
-    part = chain.particular[0]
-
     mat = np.empty((r, r))
     rhs = np.empty(r)
     for i, bc in enumerate(bcs):
-        row = bc.row(chain.m)
-        mat[i] = [apply_endpoint_row(b, row) for b in basis]
-        rhs[i] = bc.value - apply_endpoint_row(part, row)
+        part, *basis = apply_chain_row(chain, bc.row(chain.m))
+        mat[i] = basis
+        rhs[i] = bc.value - part
     try:
         constants = dense_solve(mat, rhs)
     except SingularSystemError as exc:
         raise SingularSystemError(
             "boundary conditions do not determine a unique solution", column=exc.column
         ) from exc
-    combined = part.a + sum(constants[j] * basis[j].a for j in range(r))
-    return Solution(ChebCoeffs(chain.m, combined), constants, chain)
+    return Solution(combine(chain, constants), constants, chain)
+
+
+def apply_chain_row(chain: ChainSolution, row: np.ndarray) -> list[float]:
+    """One endpoint row applied to level 0 of every chain, particular first."""
+    return [apply_endpoint_row(c, row) for c in chain.levels[0]]
+
+
+def combine(chain: ChainSolution, constants: np.ndarray) -> ChebCoeffs:
+    """u = u_p + sum_j C_j u_bar^j from level 0 of the chains."""
+    part, *basis = chain.levels[0]
+    return ChebCoeffs(chain.m, part.a + sum(c * b.a for c, b in zip(constants, basis)))
 
 
 RightHandSide = Union[ChebCoeffs, GridValues, Callable[[np.ndarray], np.ndarray]]

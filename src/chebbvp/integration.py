@@ -21,11 +21,10 @@ with f_M = f_{M+1} = 0.  The integration constants are never represented:
 rows n >= r do not involve them, which is precisely why the integral
 conditions yield banded systems.
 
-Homogeneous solutions are built the roundabout way, as 1/2 + u* (or
-T_1 + u*) with u* a particular solution for a constant (or linear) forcing;
-this shares the banded factorization with the particular solve and is what
-makes the final boundary-fitted combination accurate even when the
-intermediate solutions are badly under-resolved.
+Each banded matrix depends only on the factor and M, so its factorization
+is cached and shared by every solve through that factor: the particular
+chain and the homogeneous starts that ``factored.solve_chains`` builds from
+particular solves.
 """
 
 from __future__ import annotations
@@ -135,20 +134,6 @@ def first_order_particular(op: FirstOrderOp, f: ChebCoeffs) -> ChebCoeffs:
     return ChebCoeffs(m, a)
 
 
-def first_order_homogeneous(op: FirstOrderOp, m: int) -> ChebCoeffs:
-    """Solution of (D - a)u = 0 with T_0(u) = 1, computed as 1/2 + u*.
-
-    u* is the particular solution for the constant forcing f = a/2, since
-    (D - a)(1/2) = -a/2.
-    """
-    f = np.zeros(m + 1)
-    f[0] = op.a  # stored coefficient of the constant a/2
-    star = first_order_particular(op, ChebCoeffs(m, f))
-    a = np.array(star.a)
-    a[0] = 1.0
-    return ChebCoeffs(m, a)
-
-
 def second_order_particular(op: SecondOrderOp, f: ChebCoeffs) -> ChebCoeffs:
     """Particular solution of (D^2 + bD + c)u = f with T_0(u) = T_1(u) = 0."""
     m = f.m
@@ -156,27 +141,6 @@ def second_order_particular(op: SecondOrderOp, f: ChebCoeffs) -> ChebCoeffs:
     x = banded_solve(_second_order_factorization(op, m), second_order_rhs(f))
     a = np.zeros(m + 1)
     a[2:m] = x
-    return ChebCoeffs(m, a)
-
-
-def second_order_homogeneous_1(op: SecondOrderOp, m: int) -> ChebCoeffs:
-    """Solution of (D^2 + bD + c)u = 0 with T_0 = 1, T_1 = 0 (as 1/2 + u*, f = -c/2)."""
-    f = np.zeros(m + 1)
-    f[0] = -op.c
-    star = second_order_particular(op, ChebCoeffs(m, f))
-    a = np.array(star.a)
-    a[0] = 1.0
-    return ChebCoeffs(m, a)
-
-
-def second_order_homogeneous_2(op: SecondOrderOp, m: int) -> ChebCoeffs:
-    """Solution of (D^2 + bD + c)u = 0 with T_0 = 0, T_1 = 1 (as T_1 + u*, f = -(b + c T_1))."""
-    f = np.zeros(m + 1)
-    f[0] = -2.0 * op.b
-    f[1] = -op.c
-    star = second_order_particular(op, ChebCoeffs(m, f))
-    a = np.array(star.a)
-    a[1] = 1.0
     return ChebCoeffs(m, a)
 
 

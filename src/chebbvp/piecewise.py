@@ -46,7 +46,6 @@ from .banded import SingularSystemError, dense_solve
 from .chebyshev import (
     ChebCoeffs,
     GridValues,
-    apply_endpoint_row,
     cheb_points,
     dense_sample,
     endpoint_derivative,
@@ -62,11 +61,11 @@ from .diffmat import (
 )
 from .factored import (
     BoundaryCondition,
-    ChainLevels,
+    ChainSolution,
     OperatorFactorization,
-    Solution,
+    apply_chain_row,
     check_boundary_conditions,
-    solve_bvp,
+    combine,
     solve_chains,
 )
 from .integration import FirstOrderOp, SecondOrderOp
@@ -140,15 +139,17 @@ def _interval_rhs(f: PiecewiseRhs, grid: PiecewiseGrid, i: int) -> ChebCoeffs:
     return to_coeffs(vals)
 
 
-def _level_functional(levels: ChainLevels, present: set[int], j: int, endpoint: int) -> float:
-    """Order-j interface quantity of one chain at a local endpoint.
+def _level_functional(chain: ChainSolution, j: int, endpoint: int) -> np.ndarray:
+    """Order-j interface quantity of every chain, particular first, at a local endpoint.
 
-    Levels above a homogeneous chain's start are annihilated by the factors
-    already applied, hence contribute exactly zero.
+    Chains that start below the level read are annihilated by the factors
+    above their start, so their entries are exactly zero.
     """
-    level, order = (j, 0) if j in present else (j - 1, 1)
-    c = levels.get(level)
-    return 0.0 if c is None else endpoint_derivative(c, endpoint, order)
+    level, order = (j, 0) if j in chain.levels else (j - 1, 1)
+    out = np.zeros(chain.operator.order + 1)
+    for h, c in enumerate(chain.levels[level]):
+        out[h] = endpoint_derivative(c, endpoint, order)
+    return out
 
 
 def _scaled_bc(bc: BoundaryCondition, half_width: float) -> BoundaryCondition:
@@ -171,12 +172,6 @@ def piecewise_solve_spectral(
         if m < r + 3:
             raise ValueError(f"spectral backend needs every interval order >= {r + 3}")
 
-    if n == 1 and grid.nodes[0] == -1.0 and grid.nodes[1] == 1.0:
-        # degenerate case: identical arithmetic to the single-grid solver
-        rhs = f if callable(f) else f[0]
-        sol = solve_bvp(op, rhs, bcs, m=grid.orders[0])
-        return PiecewiseSolution(grid, (sol.coeffs,), sol.constants[None, :].copy())
-
     widths = grid.widths
     halves = widths / 2.0
     chains = []
@@ -184,35 +179,26 @@ def piecewise_solve_spectral(
         op_i, s = rescale_operator(op, widths[i])
         fc = _interval_rhs(f, grid, i)
         chains.append(solve_chains(op_i, ChebCoeffs(fc.m, fc.a * s)))
-    present = op.chain_levels()
 
     size = r * n
     mat = np.zeros((size, size))
     rhs_vec = np.zeros(size)
-
-    def col(i, h):
-        return i * r + h
-
     row = 0
     for bc in bcs:
         i = 0 if bc.endpoint == -1 else n - 1
-        bc_row = _scaled_bc(bc, halves[i]).row(grid.orders[i])
-        for h in range(r):
-            mat[row, col(i, h)] = apply_endpoint_row(chains[i].homogeneous[h][0], bc_row)
-        rhs_vec[row] = bc.value - apply_endpoint_row(chains[i].particular[0], bc_row)
+        part, *basis = apply_chain_row(chains[i], _scaled_bc(bc, halves[i]).row(grid.orders[i]))
+        mat[row, i * r : (i + 1) * r] = basis
+        rhs_vec[row] = bc.value - part
         row += 1
 
     for i in range(n - 1):  # node between interval i and i+1
         sl, sr = 1.0, 1.0
         for j in range(r):
-            left = chains[i]
-            right = chains[i + 1]
-            for h in range(r):
-                mat[row, col(i, h)] = sl * _level_functional(left.homogeneous[h], present, j, 1)
-                mat[row, col(i + 1, h)] = -sr * _level_functional(right.homogeneous[h], present, j, -1)
-            rhs_vec[row] = sr * _level_functional(right.particular, present, j, -1) - sl * _level_functional(
-                left.particular, present, j, 1
-            )
+            left = sl * _level_functional(chains[i], j, 1)
+            right = sr * _level_functional(chains[i + 1], j, -1)
+            mat[row, i * r : (i + 1) * r] = left[1:]
+            mat[row, (i + 1) * r : (i + 2) * r] = -right[1:]
+            rhs_vec[row] = right[0] - left[0]
             row += 1
             sl /= halves[i]
             sr /= halves[i + 1]
@@ -224,13 +210,8 @@ def piecewise_solve_spectral(
             "nodes/orders do not determine a unique solution", column=exc.column
         ) from exc
     constants = constants.reshape(n, r)
-    local = []
-    for i in range(n):
-        a = chains[i].particular[0].a + sum(
-            constants[i, h] * chains[i].homogeneous[h][0].a for h in range(r)
-        )
-        local.append(ChebCoeffs(grid.orders[i], a))
-    return PiecewiseSolution(grid, tuple(local), constants)
+    local = tuple(combine(chain, c) for chain, c in zip(chains, constants))
+    return PiecewiseSolution(grid, local, constants)
 
 
 def _global_second_order(op) -> SecondOrderOp | AffineConvectionOp:

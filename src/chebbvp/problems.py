@@ -98,6 +98,13 @@ def _number(token: str, line: int) -> float:
     return value
 
 
+def _grid_order(token: str, line: int) -> int:
+    value = _number(token, line)
+    if not value.is_integer():
+        raise ProblemFormatError(f"grid order {token.strip()!r} is not an integer", line)
+    return int(value)
+
+
 def parse_rhs_expr(text: str, line: int = 0) -> Callable[[np.ndarray], np.ndarray]:
     """Sum of '<coef>*<basis>' terms, bare numbers, or 'const:<k>'."""
     text = text.strip()
@@ -262,12 +269,12 @@ def parse_problem(text: str) -> ProblemSpec:
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
             if key == "m":
-                grid_m = int(_number(val, lineno))
+                grid_m = _grid_order(val, lineno)
             elif key == "nodes":
                 nodes = [_number(p, lineno) for p in val.split()]
                 nodes_line = lineno
             elif key == "orders":
-                orders = [int(_number(p, lineno)) for p in val.split()]
+                orders = [_grid_order(p, lineno) for p in val.split()]
             else:
                 raise ProblemFormatError(f"unknown grid key {key!r}", lineno)
         elif section == "bc":

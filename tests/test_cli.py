@@ -86,6 +86,16 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError, match=r"line \d+: number .* is not finite"):
             parse_problem(MINIMAL_FIRST_ORDER.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old, new", [("m = 16", "m = 16.9"), ("m = 16", "nodes = -1 0 1\norders = 32.7 32")], ids=["m", "orders"]
+    )
+    def test_non_integer_grid_order(self, old, new):
+        with pytest.raises(ProblemFormatError, match=r"line \d+: grid order .* is not an integer"):
+            parse_problem(MINIMAL_FIRST_ORDER.replace(old, new))
+
+    def test_integral_float_grid_order_accepted(self):
+        assert parse_problem(MINIMAL_FIRST_ORDER.replace("m = 16", "m = 16.0")).grid == 16
+
     @pytest.mark.parametrize("weights, value", [(((0, float("nan")),), 0.0), (((0, 1.0),), float("inf"))])
     def test_boundary_condition_rejects_non_finite(self, weights, value):
         with pytest.raises(ValueError, match="finite"):
@@ -227,6 +237,12 @@ class TestMain:
             assert main(["solve", path, "--tol", "1e-9"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "spectral,16,nan"
+
+    @pytest.mark.parametrize("grid", ["m = 16.9", "nodes = -1 0 1\norders = 32.7 32"], ids=["m", "orders"])
+    def test_solve_non_integer_grid_order_exits_2(self, tmp_path, capsys, grid):
+        path = self._spec_path(tmp_path, MINIMAL_FIRST_ORDER.replace("m = 16", grid))
+        assert main(["solve", path]) == 2
+        assert "is not an integer" in capsys.readouterr().err
 
     def test_solve_parse_error(self, tmp_path, capsys):
         path = self._spec_path(tmp_path, "[operator]\nlinear nope\n")

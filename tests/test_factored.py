@@ -15,8 +15,7 @@ from chebbvp.factored import (
     BoundaryCondition,
     OperatorFactorization,
     solve_bvp,
-    solve_homogeneous_chain,
-    solve_particular_chain,
+    solve_chains,
 )
 from chebbvp.integration import (
     FirstOrderOp,
@@ -35,10 +34,15 @@ def dirichlet(end, val):
     return BoundaryCondition.dirichlet(end, val)
 
 
+def chain_of(levels, h):
+    """Levels of chain h (0: particular, h >= 1: homogeneous h) that exist."""
+    return {k: row[h] for k, row in levels.items() if h < len(row)}
+
+
 class TestParticularChain:
     def test_double_d_is_double_integral(self):
         op = OperatorFactorization(linear=(FirstOrderOp(0.0), FirstOrderOp(0.0)))
-        levels = solve_particular_chain(op, ChebCoeffs.unit(12, 0))
+        levels = chain_of(solve_chains(op, ChebCoeffs.unit(12, 0)).levels, 0)
         expect = np.zeros(13)
         expect[2] = 0.25
         np.testing.assert_allclose(levels[0].a, expect, atol=1e-15)
@@ -49,7 +53,7 @@ class TestParticularChain:
             linear=(FirstOrderOp(1.0),), quadratic=(SecondOrderOp(2.0, -3.0),)
         )
         f = function_to_coeffs(lambda y: np.cos(2 * y), 24)
-        levels = solve_particular_chain(op, f)
+        levels = chain_of(solve_chains(op, f).levels, 0)
         assert set(levels) == {2, 0}
         res1 = first_order_residual(op.linear[0], levels[2], f)
         res2 = second_order_residual(op.quadratic[0], levels[0], levels[2])
@@ -64,10 +68,17 @@ class TestParticularChain:
         assert grid_error(sol, lambda y: np.sin(np.pi * y)) <= 1e-11
 
 
+MIXED_OP = OperatorFactorization(
+    linear=(FirstOrderOp(0.5), FirstOrderOp(-2.0)),
+    quadratic=(SecondOrderOp(1.0, 4.0),),
+)
+
+
 class TestHomogeneousChain:
     def test_double_d_chains(self):
         op = OperatorFactorization(linear=(FirstOrderOp(0.0), FirstOrderOp(0.0)))
-        lv1 = solve_homogeneous_chain(op, 1, 12)
+        levels = solve_chains(op, ChebCoeffs.zeros(12)).levels
+        lv1 = chain_of(levels, 1)
         # level 1 is the constant 1/2; level 0 its integral with T_0 zeroed: T_1 / 2
         expect1 = np.zeros(13)
         expect1[0] = 1.0
@@ -75,14 +86,13 @@ class TestHomogeneousChain:
         expect0 = np.zeros(13)
         expect0[1] = 0.5
         np.testing.assert_allclose(lv1[0].a, expect0, atol=1e-15)
-        lv2 = solve_homogeneous_chain(op, 2, 12)
+        lv2 = chain_of(levels, 2)
         np.testing.assert_allclose(lv2[0].a, expect1, atol=1e-16)
         assert set(lv2) == {0}
 
     def test_single_quadratic_trivial(self):
         op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, 0.0),))
-        u1 = solve_homogeneous_chain(op, 1, 10)[0]
-        u2 = solve_homogeneous_chain(op, 2, 10)[0]
+        _, u1, u2 = solve_chains(op, ChebCoeffs.zeros(10)).levels[0]
         half = np.zeros(11)
         half[0] = 1.0  # the function 1/2 in the stored convention
         np.testing.assert_allclose(u1.a, half, atol=1e-16)
@@ -90,17 +100,15 @@ class TestHomogeneousChain:
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_level_zero_annihilated_mixed_operator(self, h):
-        op = OperatorFactorization(
-            linear=(FirstOrderOp(0.5), FirstOrderOp(-2.0)),
-            quadratic=(SecondOrderOp(1.0, 4.0),),
-        )
+        op = MIXED_OP
         m = 32
-        levels = solve_homogeneous_chain(op, h, m)
+        levels = chain_of(solve_chains(op, ChebCoeffs.zeros(m)).levels, h)
         chain_scale = max(np.max(np.abs(v.a)) for v in levels.values())
         # verify each link below the start, then homogeneity of the start
         mlin, r = 2, 4
         if h <= mlin:
             start_level = r - h
+            assert min(levels) == 0 and max(levels) == start_level
             res = first_order_residual(op.linear[h - 1], levels[start_level], ChebCoeffs.zeros(m))
             assert np.max(np.abs(res)) <= 1e-12 * max(1.0, chain_scale)
             for j in range(h + 1, mlin + 1):
@@ -108,8 +116,16 @@ class TestHomogeneousChain:
                 assert np.max(np.abs(res)) <= 1e-12 * max(1.0, chain_scale)
             res = second_order_residual(op.quadratic[0], levels[0], levels[2])
         else:
+            assert set(levels) == {0}
             res = second_order_residual(op.quadratic[0], levels[0], ChebCoeffs.zeros(m))
         assert np.max(np.abs(res)) <= 1e-12 * max(1.0, chain_scale)
+
+    def test_levels_hold_the_chains_started_at_or_above(self):
+        # linear(0.5) starts chain 1 at level 3, linear(-2) chain 2 at level
+        # 2, and the quadratic chains 3 and 4 at level 0
+        levels = solve_chains(MIXED_OP, function_to_coeffs(np.cos, 16)).levels
+        assert {k: len(row) for k, row in levels.items()} == {3: 2, 2: 3, 0: 5}
+        assert all(c.m == 16 for row in levels.values() for c in row)
 
 
 class TestTable1:
@@ -268,7 +284,7 @@ class TestCancellation:
         a = 1e6
         op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, -a * a),))
         f = function_to_coeffs(lambda y: -(np.pi**2 + a * a) * np.sin(np.pi * y), 30)
-        part = solve_particular_chain(op, f)[0]
+        part = solve_chains(op, f).levels[0][0]
         part_err = np.max(np.abs(to_values(part).v - np.sin(np.pi * cheb_points(30).points)))
         assert part_err > 0.1  # under integral conditions the particular solution is O(1) off
         sol = solve_bvp(op, f, [dirichlet(-1, 0.0), dirichlet(1, 0.0)])

@@ -10,18 +10,27 @@ from chebbvp.chebyshev import (
     eval_endpoints,
     function_to_coeffs,
 )
+from chebbvp.factored import OperatorFactorization, solve_chains
 from chebbvp.integration import (
     FirstOrderOp,
     SecondOrderOp,
     _first_order_factorization,
-    first_order_homogeneous,
+    _second_order_factorization,
     first_order_particular,
     first_order_residual,
-    second_order_homogeneous_1,
-    second_order_homogeneous_2,
     second_order_particular,
     second_order_residual,
 )
+
+
+def homogeneous_starts(factor, m):
+    """The homogeneous chains that a one-factor operator starts (level 0 of solve_chains)."""
+    if isinstance(factor, FirstOrderOp):
+        op = OperatorFactorization(linear=(factor,))
+    else:
+        op = OperatorFactorization(quadratic=(factor,))
+    return solve_chains(op, ChebCoeffs.zeros(m)).levels[0][1:]
+
 
 
 class TestFirstOrderParticular:
@@ -55,22 +64,22 @@ class TestFirstOrderParticular:
 
 class TestFirstOrderHomogeneous:
     def test_a_zero_is_constant_half(self):
-        u = first_order_homogeneous(FirstOrderOp(0.0), 12)
+        u = homogeneous_starts(FirstOrderOp(0.0), 12)[0]
         expect = np.zeros(13)
         expect[0] = 1.0
         np.testing.assert_allclose(u.a, expect, atol=1e-16)
 
     def test_exponential_ratio(self):
-        u = first_order_homogeneous(FirstOrderOp(1.0), 32)
+        u = homogeneous_starts(FirstOrderOp(1.0), 32)[0]
         plus, minus = eval_endpoints(u)
         assert plus / minus == pytest.approx(np.e**2, rel=1e-10)
 
     @pytest.mark.parametrize("a", [-3.0, 0.5, 1e3])
     def test_t0_coefficient_exactly_one(self, a):
-        assert first_order_homogeneous(FirstOrderOp(a), 16).a[0] == 1.0
+        assert homogeneous_starts(FirstOrderOp(a), 16)[0].a[0] == 1.0
 
     def test_discretely_homogeneous(self):
-        u = first_order_homogeneous(FirstOrderOp(2.0), 24)
+        (u,) = homogeneous_starts(FirstOrderOp(2.0), 24)
         res = first_order_residual(FirstOrderOp(2.0), u, ChebCoeffs.zeros(24))
         assert np.max(np.abs(res)) <= 1e-14
 
@@ -115,31 +124,30 @@ class TestSecondOrderParticular:
 class TestSecondOrderHomogeneous:
     def test_trivial_cases_give_half(self):
         for op in [SecondOrderOp(0.0, 0.0), SecondOrderOp(3.0, 0.0)]:
-            u = second_order_homogeneous_1(op, 12)
+            u = homogeneous_starts(op, 12)[0]
             expect = np.zeros(13)
             expect[0] = 1.0
             np.testing.assert_allclose(u.a, expect, atol=1e-16)
 
     def test_cosh_space_residual(self):
         op = SecondOrderOp(0.0, -4.0)
-        u = second_order_homogeneous_1(op, 32)
+        u = homogeneous_starts(op, 32)[0]
         res = second_order_residual(op, u, ChebCoeffs.zeros(32))
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_second_kind_trivial(self):
-        u = second_order_homogeneous_2(SecondOrderOp(0.0, 0.0), 12)
+        u = homogeneous_starts(SecondOrderOp(0.0, 0.0), 12)[1]
         np.testing.assert_allclose(u.a, ChebCoeffs.unit(12, 1).a, atol=1e-16)
 
     def test_second_kind_residual(self):
         op = SecondOrderOp(1.0, 0.0)
-        u = second_order_homogeneous_2(op, 24)
+        u = homogeneous_starts(op, 24)[1]
         res = second_order_residual(op, u, ChebCoeffs.zeros(24))
         assert np.max(np.abs(res)) <= 1e-12
 
     @pytest.mark.parametrize("op", [SecondOrderOp(1.0, 2.0), SecondOrderOp(-5.0, 100.0)])
     def test_normalizations_exact(self, op):
-        u1 = second_order_homogeneous_1(op, 16)
-        u2 = second_order_homogeneous_2(op, 16)
+        u1, u2 = homogeneous_starts(op, 16)
         assert u1.a[0] == 1.0 and u1.a[1] == 0.0
         assert u2.a[0] == 0.0 and u2.a[1] == 1.0
 
@@ -181,11 +189,15 @@ class TestProperties:
 
     def test_factorization_shared_between_particular_and_homogeneous(self):
         _first_order_factorization.cache_clear()
-        op = FirstOrderOp(7.0)
+        _second_order_factorization.cache_clear()
+        op = OperatorFactorization(
+            linear=(FirstOrderOp(7.0), FirstOrderOp(-3.0)), quadratic=(SecondOrderOp(1.0, 2.0),)
+        )
         f = ChebCoeffs(16, np.random.default_rng(0).standard_normal(17))
-        first_order_particular(op, f)
-        info_after_particular = _first_order_factorization.cache_info()
-        first_order_homogeneous(op, 16)
-        info_after_homogeneous = _first_order_factorization.cache_info()
-        assert info_after_particular.misses == info_after_homogeneous.misses
-        assert info_after_homogeneous.hits > info_after_particular.hits
+        solve_chains(op, f)
+        first = _first_order_factorization.cache_info()
+        second = _second_order_factorization.cache_info()
+        # one miss per factor; every other solve through the factor is a hit:
+        # 1 + 1 and 2 + 1 solves through the linear factors, 3 + 2 through the quadratic
+        assert (first.misses, second.misses) == (2, 1)
+        assert (first.hits, second.hits) == (3, 4)

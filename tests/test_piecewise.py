@@ -84,6 +84,27 @@ class TestSpectralBackend:
         np.testing.assert_array_equal(sol.constants[0], ref.constants)
 
     @pytest.mark.parametrize(
+        "op, bcs",
+        [
+            (OperatorFactorization(linear=(FirstOrderOp(-40.0), FirstOrderOp(3.0))),
+             [D(-1, 0.5), BoundaryCondition.derivative(1, 1, -2.0)]),
+            (OperatorFactorization(quadratic=(SecondOrderOp(0.0, -1.0), SecondOrderOp(2.0, 9.0))),
+             [D(-1, 1.0), D(1, 0.0), BoundaryCondition.derivative(-1, 2, 0.5),
+              BoundaryCondition.derivative(1, 1, 3.0)]),
+        ],
+        ids=["linear", "quadratic"],
+    )
+    def test_single_interval_general_path_matches_solve_bvp_bitwise(self, op, bcs):
+        # the unit interval maps onto itself exactly (scale 1, rhs factor 1),
+        # so the interface-free general path repeats solve_bvp's arithmetic
+        f = lambda y: np.exp(y) * np.sin(3 * y)
+        grid = PiecewiseGrid(np.array([-1.0, 1.0]), (1024,))
+        sol = piecewise_solve_spectral(op, f, grid, bcs)
+        ref = solve_bvp(op, f, bcs, m=1024)
+        np.testing.assert_array_equal(sol.local_coeffs[0].a, ref.coeffs.a)
+        np.testing.assert_array_equal(sol.constants, ref.constants[None, :])
+
+    @pytest.mark.parametrize(
         "m1,m2,m3,node2,node3,paper",
         [
             (16, 4096, 32, 0.5, 0.99999, 4.07361e-11),
@@ -182,7 +203,6 @@ def matched_level_jumps(op, f, grid, sol):
     from chebbvp.factored import solve_chains
     from chebbvp.piecewise import _interval_rhs
 
-    present = op.chain_levels()
     r = op.order
     chains = []
     for i in range(grid.n_intervals):
@@ -191,19 +211,14 @@ def matched_level_jumps(op, f, grid, sol):
         chains.append(solve_chains(op_i, ChebCoeffs(fc.m, fc.a * s)))
 
     def functional(chain, idx, j, endpoint):
+        # chains missing from a level are exactly zero there
         side = 0 if endpoint == 1 else 1
-
-        def val(levels):
-            c = levels.get(j) if j in present else levels.get(j - 1)
-            if c is None:
-                return 0.0
-            if j in present:
-                return eval_endpoints(c)[side]
-            return endpoint_derivative(c, endpoint, 1)
-
-        return val(chain.particular) + sum(
-            sol.constants[idx, h] * val(chain.homogeneous[h]) for h in range(r)
-        )
+        if j in chain.levels:
+            vals = [eval_endpoints(c)[side] for c in chain.levels[j]]
+        else:
+            vals = [endpoint_derivative(c, endpoint, 1) for c in chain.levels[j - 1]]
+        assert 1 <= len(vals) <= r + 1
+        return vals[0] + sum(sol.constants[idx, h] * v for h, v in enumerate(vals[1:]))
 
     jumps = []
     for i in range(grid.n_intervals - 1):
