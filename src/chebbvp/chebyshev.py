@@ -21,6 +21,7 @@ test oracle.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,12 +51,20 @@ class ChebGrid:
         object.__setattr__(self, "points", _readonly(pts))
 
 
+def grid_order(m) -> int:
+    """m as an int: 16 and 16.0 pass, 16.9 raises ValueError rather than being truncated."""
+    if isinstance(m, numbers.Integral) or (isinstance(m, numbers.Real) and float(m).is_integer()):
+        return int(m)
+    raise ValueError(f"grid order {m} is not an integer")
+
+
 def cheb_points(m: int) -> ChebGrid:
     """Grid of the m+1 Chebyshev points cos(j pi / m), j = 0..m.
 
     The endpoints and (for even m) the midpoint are pinned to 1, -1, 0
     exactly; rounding in cos would otherwise leave the midpoint at ~6e-17.
     """
+    m = grid_order(m)
     if m < 1:
         raise ValueError(f"grid order must be >= 1, got {m}")
     j = np.arange(m + 1)
@@ -119,7 +128,8 @@ def to_values(coeffs: ChebCoeffs) -> GridValues:
 
 def sample_function(f: Callable[[np.ndarray], np.ndarray], m: int) -> GridValues:
     """Sample f at the order-m Chebyshev points."""
-    return GridValues(m, np.asarray(f(cheb_points(m).points), dtype=float))
+    grid = cheb_points(m)
+    return GridValues(grid.m, np.asarray(f(grid.points), dtype=float))
 
 
 def function_to_coeffs(f: Callable[[np.ndarray], np.ndarray], m: int) -> ChebCoeffs:

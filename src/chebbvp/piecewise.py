@@ -50,6 +50,7 @@ from .chebyshev import (
     dense_sample,
     endpoint_derivative,
     eval_series,
+    grid_order,
     to_coeffs,
 )
 from .diffmat import (
@@ -86,7 +87,7 @@ class PiecewiseGrid:
             raise ValueError("need at least two nodes")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
-        orders = tuple(int(m) for m in self.orders)
+        orders = tuple(grid_order(m) for m in self.orders)
         if len(orders) != len(nodes) - 1:
             raise ValueError("need one grid order per interval")
         if any(m < 1 for m in orders):

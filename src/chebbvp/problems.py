@@ -40,6 +40,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
+from .chebyshev import grid_order
 from .diffmat import AffineConvectionOp
 from .factored import BoundaryCondition, OperatorFactorization
 from .integration import FirstOrderOp, SecondOrderOp
@@ -100,9 +101,10 @@ def _number(token: str, line: int) -> float:
 
 def _grid_order(token: str, line: int) -> int:
     value = _number(token, line)
-    if not value.is_integer():
-        raise ProblemFormatError(f"grid order {token.strip()!r} is not an integer", line)
-    return int(value)
+    try:
+        return grid_order(value)
+    except ValueError:
+        raise ProblemFormatError(f"grid order {token.strip()!r} is not an integer", line) from None
 
 
 def parse_rhs_expr(text: str, line: int = 0) -> Callable[[np.ndarray], np.ndarray]:

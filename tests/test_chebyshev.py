@@ -52,6 +52,15 @@ class TestChebPoints:
         with pytest.raises(ValueError):
             cheb_points(0)
 
+    def test_rejects_non_integer_order(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            cheb_points(16.9)
+
+    def test_integral_float_order(self):
+        grid = cheb_points(16.0)
+        assert type(grid.m) is int
+        np.testing.assert_array_equal(grid.points, cheb_points(16).points)
+
     @pytest.mark.parametrize("m", [1, 2, 5, 8, 33])
     def test_endpoints_exact_and_decreasing(self, m):
         pts = cheb_points(m).points

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chebbvp import diagnostics
 from chebbvp.banded import BandedMatrix
 from chebbvp.diagnostics import (
     condition_vs_parameter,
@@ -56,10 +57,54 @@ class TestJacobiSvd:
         # right singular vectors reproduce A v = sigma u with unit u
         np.testing.assert_allclose(np.linalg.norm(a @ v, axis=0), sig, rtol=1e-10)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        dgejsv = diagnostics.lapack.dgejsv
+
+        def fails(*args, **kwargs):
+            return dgejsv(*args, **kwargs)[:-1] + (1,)
+
+        monkeypatch.setattr(diagnostics.lapack, "dgejsv", fails)
         rng = np.random.default_rng(5)
         with pytest.raises(RuntimeError, match="converge"):
-            jacobi_svd(rng.standard_normal((8, 8)), max_sweeps=1)
+            jacobi_svd(rng.standard_normal((8, 8)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(4)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_svd(a)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 2)])
+    def test_empty_or_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square and non-empty"):
+            singular_spectrum(np.ones(shape))
+
+    @pytest.mark.parametrize("two_sided", [False, True], ids=["column", "two_sided"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relative_accuracy_on_graded_matrices(self, seed, two_sided):
+        """Every sigma to 1e-12 relative against a 50-digit SVD.
+
+        B standard normal; column-graded B diag(10^-j) spans 1e-16 and the
+        permuted two-sided graded diag(10^-i) B diag(10^-(15-j)) spans
+        1e-30.  On the two-sided ones ``np.linalg.svd`` is off by factors
+        of 36 to 590 and dgejsv with JOBA = 'C' or 'E' by up to 2e-2; JOBA
+        = 'A' zeroes the small sigma of both kinds.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        n = 16
+        rng = np.random.default_rng(seed)
+        grade = 10.0 ** -np.arange(n)
+        b = rng.standard_normal((n, n))
+        if two_sided:
+            a = (grade[:, None] * b * grade[::-1])[rng.permutation(n)][:, rng.permutation(n)]
+        else:
+            a = b * grade
+        with mpmath.workdps(50):
+            exact = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
+            exact = np.sort([float(s) for s in exact])[::-1]
+        sig, _ = jacobi_svd(a, compute_vectors=False)
+        np.testing.assert_allclose(sig, exact, rtol=1e-12, atol=0)
 
     def test_condition_invariant_under_permutation(self):
         a = dense_export(SecondOrderOp(10.0, -300.0), 48)

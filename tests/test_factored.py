@@ -367,6 +367,17 @@ class TestSolveBvp:
         np.testing.assert_array_equal(from_callable.coeffs.a, from_values.coeffs.a)
         np.testing.assert_array_equal(from_values.coeffs.a, from_coeffs.coeffs.a)
 
+    def test_non_integer_grid_order(self):
+        op = OperatorFactorization(linear=(FirstOrderOp(1.0),))
+        with pytest.raises(ValueError, match="not an integer"):
+            solve_bvp(op, np.sin, [dirichlet(-1, 0.0)], m=16.9)
+
+    def test_integral_float_grid_order(self):
+        op = OperatorFactorization(linear=(FirstOrderOp(1.0),))
+        sol = solve_bvp(op, np.sin, [dirichlet(-1, 0.0)], m=16.0)
+        assert sol.coeffs.m == 16
+        np.testing.assert_array_equal(sol.coeffs.a, solve_bvp(op, np.sin, [dirichlet(-1, 0.0)], m=16).coeffs.a)
+
     def test_callable_needs_grid_order(self):
         op = OperatorFactorization(linear=(FirstOrderOp(1.0),))
         with pytest.raises(ValueError, match="m is required"):

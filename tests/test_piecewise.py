@@ -189,6 +189,13 @@ class TestSpectralBackend:
         with pytest.raises(ValueError, match="interval order"):
             piecewise_solve_spectral(LAYER_OP, ZERO, grid, LAYER_BCS)
 
+    def test_non_integer_interval_order(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            PiecewiseGrid(np.array([-1.0, 1.0]), (16.9,))
+
+    def test_integral_float_interval_order(self):
+        assert PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (16.0, np.float64(8.0))).orders == (16, 8)
+
     def test_degenerate_nodes_reported(self):
         op = OperatorFactorization(linear=(FirstOrderOp(0.0), FirstOrderOp(0.0)))
         grid = PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (8, 8))
