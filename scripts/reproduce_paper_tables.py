@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce every reference table and the singular-spectrum figure data.
 
-Writes table CSVs and the M=128 spectrum of (D^2 + 1e5 D - 1e6) to out/
+Writes table CSVs and the spectrum of fig2.spec's coefficient system to out/
 (or a directory given as the first argument).  Equivalent to running
 `chebbvp tables <id>` for each table plus `chebbvp diag` on fig2.spec.
 """
@@ -10,15 +10,15 @@ import pathlib
 import sys
 import time
 
-from chebbvp.cli import reproduce_tables
-from chebbvp.diagnostics import dense_export, singular_spectrum, spectrum_csv
-from chebbvp.integration import SecondOrderOp
+from chebbvp.cli import TABLES, builtin_spec_text, reproduce_tables, spectrum
+from chebbvp.diagnostics import spectrum_csv
+from chebbvp.problems import parse_problem
 
 
 def main():
     outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "out")
     outdir.mkdir(parents=True, exist_ok=True)
-    for which in ("1a", "1b", "1c", "1d", "1e", "3", "4"):
+    for which in TABLES:
         t0 = time.perf_counter()
         csv = reproduce_tables(which)
         path = outdir / f"table{which}.csv"
@@ -26,9 +26,9 @@ def main():
         print(f"table {which} -> {path} ({time.perf_counter() - t0:.1f}s)")
         print(csv, end="")
     t0 = time.perf_counter()
-    report = singular_spectrum(dense_export(SecondOrderOp(1e5, -1e6), 128))
+    report = spectrum(parse_problem(builtin_spec_text("fig2.spec")))
     (outdir / "spectrum_fig2.csv").write_text(spectrum_csv(report))
-    print(f"spectrum (a=1e5, b=-1e6, M=128) -> {outdir/'spectrum_fig2.csv'} "
+    print(f"spectrum (fig2.spec) -> {outdir/'spectrum_fig2.csv'} "
           f"({time.perf_counter() - t0:.1f}s); condition {report.condition:.3g}")
 
 

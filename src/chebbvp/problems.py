@@ -23,6 +23,14 @@ Format (sections in any order, '#' starts a comment):
     [exact]
     name = exp_ramp:1e6:1:2   # optional, enables error reporting
 
+    [sweep]               # optional, the rows of 'chebbvp tables'; solve/diag ignore it
+    header = a,b,M,error1,error2
+    columns = spectral:linear spectral
+    # one error cell per column on backend spectral or diffmat; ':linear' splits
+    # each real-rooted quadratic factor, ':overshoot' gives the excursion beyond
+    # the boundary values; default: one column on the problem's backend
+    row = 1e+06,2e+06,1024 ; m = 1024   # label cells as printed ; [grid] keys
+
 Exact-solution builtins: const:<k>; sinpi; saturating_exp:<a> for
 1 - e^{-a(y+1)}; exp_ramp:<a>:<ul>:<ur> for the two-value exponential layer
 profile; cosh_pair:<a>:<b> for the clamped fourth-order layer solution;
@@ -34,6 +42,7 @@ digits than the arithmetic itself must.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,6 +66,15 @@ class ProblemFormatError(ValueError):
 
 
 @dataclass(frozen=True)
+class Sweep:
+    """[sweep]: the CSV header, (label, grid) rows and (backend, operator, overshoot) columns."""
+
+    header: str
+    rows: tuple[tuple[str, int | PiecewiseGrid], ...]
+    columns: tuple[tuple[str, OperatorFactorization | AffineConvectionOp, bool], ...]
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     operator: OperatorFactorization | AffineConvectionOp
     rhs: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -66,6 +84,7 @@ class ProblemSpec:
     backend: str = "spectral"
     exact: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     exact_name: str | None = None
+    sweep: Sweep | None = None
 
     @property
     def order(self) -> int:
@@ -114,7 +133,8 @@ def parse_rhs_expr(text: str, line: int = 0) -> Callable[[np.ndarray], np.ndarra
         k = _number(text[len("const:") :], line)
         return lambda y, k=k: np.full_like(np.asarray(y, dtype=float), k)
     terms = []
-    for raw in text.split("+"):
+    # a '+' after a mantissa and 'e' is an exponent sign, not a term separator
+    for raw in re.split(r"(?<![0-9.][eE])\+", text):
         raw = raw.strip()
         if not raw:
             raise ProblemFormatError("empty term in rhs expression", line)
@@ -161,12 +181,7 @@ def exact_function(name: str, line: int = 0) -> Callable[[np.ndarray], np.ndarra
     if kind == "exp_ramp":
         need(3)
         a, ul, ur = args
-        span = ur - ul
-
-        def ramp(y):
-            return ul + span * (np.expm1(a * (y - 1.0)) - np.expm1(-2.0 * a)) / -np.expm1(-2.0 * a)
-
-        return ramp
+        return lambda y: ur + (ur - ul) * np.expm1(a * (y - 1.0)) / -np.expm1(-2.0 * a)
     if kind == "cosh_pair":
         need(2)
         a, b = args
@@ -194,7 +209,7 @@ def _split_sections(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("operator", "rhs", "grid", "bc", "exact"):
+            if section not in ("operator", "rhs", "grid", "bc", "exact", "sweep"):
                 raise ProblemFormatError(f"unknown section [{section}]", lineno)
             continue
         if section is None:
@@ -230,6 +245,73 @@ def _parse_bc_line(line: str, lineno: int) -> BoundaryCondition:
         raise ProblemFormatError(str(exc), lineno) from None
 
 
+def _parse_grid(entries: list[tuple[str, str, int]]) -> int | PiecewiseGrid | None:
+    """Grid from (key, value, line) entries: 'm', or 'nodes' and 'orders'; None if there are none."""
+    found = {}
+    for key, val, lineno in entries:
+        if key not in ("m", "nodes", "orders"):
+            raise ProblemFormatError(f"unknown grid key {key!r}", lineno)
+        found[key] = val, lineno
+    if set(found) <= {"m"}:
+        return _grid_order(*found["m"]) if found else None
+    if set(found) != {"nodes", "orders"}:
+        raise ProblemFormatError("give either m, or both nodes and orders", lineno)
+    (nodes, line), (orders, orders_line) = found["nodes"], found["orders"]
+    nodes = [_number(p, line) for p in nodes.split()]
+    orders = [_grid_order(p, orders_line) for p in orders.split()]
+    try:
+        return PiecewiseGrid(np.array(nodes), tuple(orders))
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc), line) from None
+
+
+def _split_quadratics(operator, line: int) -> OperatorFactorization:
+    """Each real-rooted (D^2 + b D + c) as (D - r1)(D - r2), r1 >= r2, after the linear factors."""
+    if not isinstance(operator, OperatorFactorization):
+        raise ProblemFormatError("':linear' needs a factored operator", line)
+    roots = []
+    for q in operator.quadratic:
+        h, disc = -0.5 * q.b, 0.25 * q.b * q.b - q.c
+        if disc < 0:
+            raise ProblemFormatError(f"quadratic factor {q.b:g} {q.c:g} has complex roots", line)
+        big = h + math.copysign(math.sqrt(disc), h)  # no cancellation; the other root is c / big
+        roots += sorted([big, q.c / big if big else 0.0], reverse=True)
+    return OperatorFactorization(operator.linear + tuple(map(FirstOrderOp, roots)))
+
+
+def _parse_sweep(lines: list[tuple[int, str]], operator, backend: str) -> Sweep:
+    header, tokens, columns_line, rows = None, [backend], None, []
+    for lineno, line in lines:
+        key, val = _key_value(line)
+        if key == "header":
+            header = val
+        elif key == "columns":
+            tokens, columns_line = val.split(), lineno
+        elif key == "row":
+            label, *grid_keys = val.split(";")
+            grid = _parse_grid([(*_key_value(g), lineno) for g in grid_keys])
+            if grid is None:
+                raise ProblemFormatError("sweep row needs a grid after ';'", lineno)
+            rows.append((label.strip(), grid))
+        else:
+            raise ProblemFormatError(f"unknown sweep key {key!r}", lineno)
+    if header is None or not rows:
+        raise ProblemFormatError("[sweep] needs a header and at least one row", lines[0][0])
+    columns = []
+    for token in tokens:
+        col_backend, _, measure = token.partition(":")
+        if col_backend not in ("spectral", "diffmat") or measure not in ("", "linear", "overshoot"):
+            raise ProblemFormatError(f"unknown sweep column {token!r}", columns_line)
+        col_operator = _split_quadratics(operator, columns_line) if measure == "linear" else operator
+        columns.append((col_backend, col_operator, measure == "overshoot"))
+    return Sweep(header, tuple(rows), tuple(columns))
+
+
+def _key_value(line: str) -> tuple[str, str]:
+    key, _, val = line.partition("=")
+    return key.strip(), val.strip()
+
+
 def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a problem file; raises ProblemFormatError on first error."""
     linear: list[FirstOrderOp] = []
@@ -238,13 +320,11 @@ def parse_problem(text: str) -> ProblemSpec:
     affine_line = 0
     rhs = None
     rhs_text = "const:0"
-    grid_m = None
-    nodes = None
-    nodes_line = 0
-    orders = None
+    grid_entries: list[tuple[str, str, int]] = []
     bcs: list[BoundaryCondition] = []
     exact = None
     exact_name = None
+    sweep_lines: list[tuple[int, str]] = []
 
     for section, lineno, line in _split_sections(text):
         if section == "operator":
@@ -262,31 +342,21 @@ def parse_problem(text: str) -> ProblemSpec:
                     f"expected 'linear a', 'quadratic b c', or 'ysecond p q1 q0 r', got {line!r}", lineno
                 )
         elif section == "rhs":
-            key, _, val = line.partition("=")
-            if key.strip() != "expr":
-                raise ProblemFormatError(f"unknown rhs key {key.strip()!r}", lineno)
-            rhs_text = val.strip()
+            key, rhs_text = _key_value(line)
+            if key != "expr":
+                raise ProblemFormatError(f"unknown rhs key {key!r}", lineno)
             rhs = parse_rhs_expr(rhs_text, lineno)
         elif section == "grid":
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key == "m":
-                grid_m = _grid_order(val, lineno)
-            elif key == "nodes":
-                nodes = [_number(p, lineno) for p in val.split()]
-                nodes_line = lineno
-            elif key == "orders":
-                orders = [_grid_order(p, lineno) for p in val.split()]
-            else:
-                raise ProblemFormatError(f"unknown grid key {key!r}", lineno)
+            grid_entries.append((*_key_value(line), lineno))
         elif section == "bc":
             bcs.append(_parse_bc_line(line, lineno))
         elif section == "exact":
-            key, _, val = line.partition("=")
-            if key.strip() != "name":
-                raise ProblemFormatError(f"unknown exact key {key.strip()!r}", lineno)
-            exact_name = val.strip()
+            key, exact_name = _key_value(line)
+            if key != "name":
+                raise ProblemFormatError(f"unknown exact key {key!r}", lineno)
             exact = exact_function(exact_name, lineno)
+        elif section == "sweep":
+            sweep_lines.append((lineno, line))
 
     if affine is not None and (linear or quadratic):
         raise ProblemFormatError("ysecond cannot be combined with factored terms", affine_line)
@@ -302,18 +372,8 @@ def parse_problem(text: str) -> ProblemSpec:
     if rhs is None:
         rhs = parse_rhs_expr(rhs_text)
 
-    if grid_m is not None and nodes is not None:
-        raise ProblemFormatError("give either m or nodes/orders, not both", nodes_line)
-    if nodes is not None or orders is not None:
-        if nodes is None or orders is None:
-            raise ProblemFormatError("piecewise grids need both nodes and orders", nodes_line)
-        try:
-            grid: int | PiecewiseGrid = PiecewiseGrid(np.array(nodes), tuple(orders))
-        except ValueError as exc:
-            raise ProblemFormatError(str(exc), nodes_line) from None
-    elif grid_m is not None:
-        grid = grid_m
-    else:
+    grid = _parse_grid(grid_entries)
+    if grid is None:
         raise ProblemFormatError("missing [grid] section")
 
     r = operator.order
@@ -332,6 +392,7 @@ def parse_problem(text: str) -> ProblemSpec:
         backend=backend,
         exact=exact,
         exact_name=exact_name,
+        sweep=_parse_sweep(sweep_lines, operator, backend) if sweep_lines else None,
     )
 
 

@@ -7,6 +7,7 @@ tables.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,22 +21,12 @@ from chebbvp.chebyshev import (
     to_coeffs,
     to_values,
 )
-from chebbvp.diagnostics import condition_vs_parameter, dense_export, singular_spectrum
-from chebbvp.diffmat import AffineConvectionOp
+from chebbvp.cli import builtin_spec_text, run, spectrum, sweep_cell
+from chebbvp.diagnostics import condition_vs_parameter
 from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
-from chebbvp.integration import (
-    FirstOrderOp,
-    SecondOrderOp,
-    _first_order_factorization,
-    _second_order_factorization,
-)
-from chebbvp.piecewise import (
-    PiecewiseGrid,
-    overshoot,
-    piecewise_solve_diffmat,
-    piecewise_solve_spectral,
-    sample_piecewise,
-)
+from chebbvp.integration import FirstOrderOp, SecondOrderOp, _first_order_factorization
+from chebbvp.piecewise import sample_piecewise
+from chebbvp.problems import parse_problem
 
 D = BoundaryCondition.dirichlet
 
@@ -51,18 +42,16 @@ def grid_error(sol, exact):
     return float(np.max(np.abs(to_values(sol.coeffs).v - exact(y))))
 
 
-def piecewise_error(sol, exact):
-    p, v = sample_piecewise(sol)
-    return float(np.max(np.abs(v - exact(p))))
+def shipped(name):
+    return parse_problem(builtin_spec_text(name))
 
 
 def test_criterion_1_table_1a_error_and_runtime():
-    a = 1e6
-    op = OperatorFactorization(linear=(FirstOrderOp(-a),))
+    spec = shipped("table1a.spec")
+    assert spec.grid == 8192
     _first_order_factorization.cache_clear()
     t0 = time.perf_counter()
-    sol = solve_bvp(op, lambda y: np.full_like(y, a), [D(-1, 0.0)], m=8192)
-    err = grid_error(sol, lambda y: -np.expm1(-a * (y + 1.0)))
+    err = run(spec).error
     elapsed = time.perf_counter() - t0
     ok = err <= 1e-9 and elapsed <= 2.0
     assert report("1 (table 1a, M=8192)", err, 1e-9, ok)
@@ -70,69 +59,44 @@ def test_criterion_1_table_1a_error_and_runtime():
 
 
 def test_criterion_2_table_1b_cancellation():
-    a = 1e6
-    op = OperatorFactorization(linear=(FirstOrderOp(-a),))
-    sol = solve_bvp(
-        op, lambda y: np.pi * np.cos(np.pi * y) + a * np.sin(np.pi * y), [D(-1, 0.0)], m=16
-    )
-    err = grid_error(sol, lambda y: np.sin(np.pi * y))
+    spec = shipped("table1b.spec")
+    assert spec.grid == 16
+    err = run(spec).error
     assert report("2 (table 1b, M=16)", err, 1e-12, err <= 1e-12)
 
 
 def test_criterion_3_table_1d():
-    c = 1e4
-    op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, c),))
-    sol = solve_bvp(
-        op, lambda y: (-np.pi**2 + c) * np.sin(np.pi * y), [D(-1, 0.0), D(1, 0.0)], m=32
-    )
-    err = grid_error(sol, lambda y: np.sin(np.pi * y))
+    spec = shipped("table1d.spec")
+    assert spec.grid == 32
+    err = run(spec).error
     assert report("3 (table 1d, M=32)", err, 1e-12, err <= 1e-12)
 
 
 def test_criterion_4_table_1e_both_factorizations():
-    a, b = 1e6, 2e6
-    rhs = lambda y: np.full_like(y, a * a * b * b)
-    bcs = [
-        D(-1, 0.0),
-        D(1, 0.0),
-        BoundaryCondition.derivative(-1, 1, 0.0),
-        BoundaryCondition.derivative(1, 1, 0.0),
-    ]
-    from chebbvp.problems import exact_function
-
-    exact = exact_function(f"cosh_pair:{a}:{b}")
-    op_lin = OperatorFactorization(
-        linear=(FirstOrderOp(a), FirstOrderOp(-a), FirstOrderOp(b), FirstOrderOp(-b))
-    )
-    op_quad = OperatorFactorization(
-        quadratic=(SecondOrderOp(0.0, -a * a), SecondOrderOp(0.0, -b * b))
-    )
-    e1 = grid_error(solve_bvp(op_lin, rhs, bcs, m=16384), exact)
-    e2 = grid_error(solve_bvp(op_quad, rhs, bcs, m=16384), exact)
+    spec = shipped("table1e.spec")
+    assert spec.grid == 16384
+    # the linear (D - a)(D + a)(D - b)(D + b) and the quadratic factorization
+    e1, e2 = (sweep_cell(spec, column) for column in spec.sweep.columns)
     assert report("4 (table 1e, M=16384, both factorizations)", max(e1, e2), 1e-7, max(e1, e2) <= 1e-7)
 
 
-LAYER_OP = OperatorFactorization(linear=(FirstOrderOp(0.0), FirstOrderOp(1e6)))
-LAYER_BCS = [D(-1, 1.0), D(1, 2.0)]
-LAYER_EXACT = staticmethod(lambda y: 2.0 + np.expm1(1e6 * (y - 1.0)) / -np.expm1(-2e6))
+def sweep_row(name, index):
+    """The spec on the grid of one of its [sweep] rows."""
+    spec = shipped(name)
+    return replace(spec, grid=spec.sweep.rows[index][1])
 
 
 def test_criterion_5_table_3_last_row():
-    exact = lambda y: 2.0 + np.expm1(1e6 * (y - 1.0)) / -np.expm1(-2e6)
-    grid = PiecewiseGrid(np.array([-1.0, 0.99995, 0.99999, 1.0]), (32, 32, 32))
-    zero = lambda y: np.zeros_like(y)
-    e1 = piecewise_error(piecewise_solve_spectral(LAYER_OP, zero, grid, LAYER_BCS), exact)
-    e2 = piecewise_error(piecewise_solve_diffmat(LAYER_OP, zero, grid, LAYER_BCS), exact)
+    spec = sweep_row("table3.spec", -1)
+    assert sum(spec.grid.orders) == 96
+    e1, e2 = run(spec, "spectral").error, run(spec, "diffmat").error
     assert report("5 (table 3 last row, 96 points)", max(e1, e2), 1e-9, e1 <= 1e-9 and e2 <= 1e-9)
 
 
 def test_criterion_6_table_4_row_1():
-    eps = 1e-12
-    s = np.sqrt(eps)
-    op = AffineConvectionOp(diff2=eps, conv_slope=1.0, conv_const=0.0)
-    grid = PiecewiseGrid(np.array([-1.0, -8 * s, -3 * s, 5 * s, 8 * s, 1.0]), (32,) * 5)
-    sol = piecewise_solve_diffmat(op, lambda y: np.zeros_like(y), grid, [D(-1, -1.0), D(1, 1.0)])
-    ov = overshoot(sol, -1.0, 1.0, samples=10000)
+    spec = sweep_row("table4.spec", 0)
+    (column,) = spec.sweep.columns  # the overshoot beyond the boundary values -1 and 1
+    ov = sweep_cell(spec, column)
     assert report("6 (table 4 row 1 overshoot)", ov, 1e-12, ov <= 1e-12)
 
 
@@ -140,7 +104,7 @@ def test_criterion_7_condition_slope_and_localization():
     table = condition_vs_parameter([10.0, 100.0, 1000.0], 256)
     conds = [c for _, c in table]
     slope = float(np.polyfit(np.log10([10.0, 100.0, 1000.0]), np.log10(conds), 1)[0])
-    rep = singular_spectrum(dense_export(SecondOrderOp(1e5, -1e6), 128))
+    rep = spectrum(shipped("fig2.spec"))
     loc_first, loc_120 = float(rep.localization[0]), float(rep.localization[119])
     ok = 1.8 <= slope <= 2.2 and loc_first >= 0.9 and loc_120 <= 0.1
     assert report("7 (condition slope / localization)", slope, 2.0, ok)
@@ -261,14 +225,13 @@ def _manufactured_worst():
 
 
 def _interface_continuity_worst():
-    zero = lambda y: np.zeros_like(y)
-    grid = PiecewiseGrid(np.array([-1.0, 0.99995, 0.99999, 1.0]), (32, 32, 32))
+    spec = sweep_row("table3.spec", -1)
     worst = 0.0
-    for solver in (piecewise_solve_spectral, piecewise_solve_diffmat):
-        sol = solver(LAYER_OP, zero, grid, LAYER_BCS)
+    for backend in ("spectral", "diffmat"):
+        sol = run(spec, backend).solution
         _, vals = sample_piecewise(sol)
         unorm = np.max(np.abs(vals))
-        for i in range(grid.n_intervals - 1):
+        for i in range(spec.grid.n_intervals - 1):
             jump = abs(
                 eval_series(sol.local_coeffs[i], 1.0) - eval_series(sol.local_coeffs[i + 1], -1.0)
             )

@@ -1,11 +1,20 @@
 """Problem-file parsing, builtin functions, CLI behavior, table reproduction."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from chebbvp.cli import builtin_spec_text, main, reproduce_tables, run
+from chebbvp.chebyshev import cheb_points
+from chebbvp.cli import TABLES, builtin_spec_text, main, reproduce_tables, run, sweep_cell
 from chebbvp.diffmat import AffineConvectionOp
-from chebbvp.factored import BoundaryCondition
+from chebbvp.factored import BoundaryCondition, OperatorFactorization
+from chebbvp.integration import FirstOrderOp
+from chebbvp.piecewise import PiecewiseGrid, overshoot
 from chebbvp.problems import (
     ProblemFormatError,
     exact_function,
@@ -114,6 +123,13 @@ class TestBuiltinFunctions:
             f(y), np.pi * np.cos(np.pi * y) + 1e6 * np.sin(np.pi * y), rtol=1e-15
         )
 
+    def test_rhs_exponent_signs_are_not_term_separators(self):
+        f = parse_rhs_expr("1e+06*sinpi + 2.5E+3")
+        y = np.linspace(-1, 1, 5)
+        np.testing.assert_array_equal(f(y), 1e6 * np.sin(np.pi * y) + 2500.0)
+        # a basis ending in 'e' is still split off
+        np.testing.assert_array_equal(parse_rhs_expr("one+y")(np.array([0.5])), [1.5])
+
     def test_rhs_bare_number_and_y(self):
         f = parse_rhs_expr("2 + 3*y")
         np.testing.assert_allclose(f(np.array([0.5])), [3.5])
@@ -128,6 +144,11 @@ class TestBuiltinFunctions:
         np.testing.assert_allclose(u(np.array([-1.0, 1.0])), [1.0, 2.0], atol=1e-12)
         # interior plateau at the left value
         assert u(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_exp_ramp_is_the_layer_form_bitwise(self):
+        y = cheb_points(16384).points
+        u = exact_function("exp_ramp:1e6:1:2")(y)
+        np.testing.assert_array_equal(u, 2.0 + np.expm1(1e6 * (y - 1.0)) / -np.expm1(-2e6))
 
     def test_exp_ramp_small_parameter_limit(self):
         u = exact_function("exp_ramp:1e-9:0:1")
@@ -181,6 +202,94 @@ class TestRun:
             run(spec, "spectral")
 
 
+def same_grid(a, b):
+    if isinstance(a, PiecewiseGrid) and isinstance(b, PiecewiseGrid):
+        return a.orders == b.orders and a.nodes.tolist() == b.nodes.tolist()
+    return a == b
+
+
+SWEEP_FIRST_ORDER = MINIMAL_FIRST_ORDER + """
+[exact]
+name = const:0
+
+[sweep]
+header = M,error
+row = 16 ; m = 16
+"""
+
+
+class TestSweep:
+    @pytest.mark.parametrize("which", TABLES)
+    def test_spec_grid_is_a_row_with_the_same_error(self, which):
+        spec = parse_problem(builtin_spec_text(f"table{which}.spec"))
+        rows = [grid for _, grid in spec.sweep.rows if same_grid(grid, spec.grid)]
+        assert len(rows) == 1
+        # the column that solves the problem as written (for 1e, the quadratic one)
+        (column,) = [c for c in spec.sweep.columns if c[:2] == (spec.backend, spec.operator)]
+        report = run(spec)
+        if column[2]:
+            values = [bc.value for bc in spec.bcs]
+            got = overshoot(report.solution, min(values), max(values), samples=10000)
+        else:
+            got = report.error
+        assert got == sweep_cell(replace(spec, grid=rows[0]), column)
+
+    def test_default_column_is_the_problem_backend(self):
+        spec = parse_problem(SWEEP_FIRST_ORDER)
+        assert spec.sweep.header == "M,error"
+        assert spec.sweep.rows == (("16", 16),)
+        assert spec.sweep.columns == (("spectral", spec.operator, False),)
+
+    def test_linear_column_splits_table1e_into_its_exact_roots(self):
+        spec = parse_problem(builtin_spec_text("table1e.spec"))
+        backend, operator, _ = spec.sweep.columns[0]
+        assert backend == "spectral"
+        assert operator == OperatorFactorization(tuple(FirstOrderOp(r) for r in (1e6, -1e6, 2e6, -2e6)))
+
+    def test_linear_split_has_no_cancellation(self):
+        text = SWEEP_FIRST_ORDER.replace("linear 1", "quadratic 1e8 1")
+        text = text.replace("at=-1 d0=1 value=0", "at=-1 d0=1 value=0\nat=+1 d0=1 value=0")
+        spec = parse_problem(text + "columns = spectral:linear\n")
+        roots = [f.a for f in spec.sweep.columns[0][1].linear]
+        # -1e-8 to 16 digits; -b/2 + sqrt(b^2/4 - c) cancels to -7.45e-9
+        np.testing.assert_allclose(roots, [-1e-8, -1e8], rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("rows = 16 ; m = 16", "unknown sweep key 'rows'"),
+            ("columns = spectral:fast", "unknown sweep column 'spectral:fast'"),
+            ("columns = collocation", "unknown sweep column 'collocation'"),
+            ("row = 32", "sweep row needs a grid"),
+            ("row = 32 ; n = 32", "unknown grid key 'n'"),
+            ("row = 32 ; m = 32.5", "grid order '32.5' is not an integer"),
+            ("row = 8 ; m = 8 ; nodes = -1 0 1", "give either m, or both nodes and orders"),
+        ],
+    )
+    def test_malformed_sweep_has_line_number(self, line, match):
+        text = SWEEP_FIRST_ORDER + line + "\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ProblemFormatError, match=rf"^line {lineno}: {match}"):
+            parse_problem(text)
+
+    @pytest.mark.parametrize(
+        "name, old, new, match",
+        [
+            ("table1e.spec", "quadratic 0 -1e12", "quadratic 0 1e12", "complex roots"),
+            ("table4.spec", "diffmat:overshoot", "diffmat:linear", "needs a factored operator"),
+        ],
+    )
+    def test_linear_column_on_an_operator_it_cannot_split(self, name, old, new, match):
+        text = builtin_spec_text(name)
+        lineno = next(i for i, l in enumerate(text.splitlines(), 1) if l.startswith("columns"))
+        with pytest.raises(ProblemFormatError, match=rf"^line {lineno}: .*{match}"):
+            parse_problem(text.replace(old, new))
+
+    def test_sweep_without_rows(self):
+        with pytest.raises(ProblemFormatError, match="needs a header and at least one row"):
+            parse_problem(MINIMAL_FIRST_ORDER + "[sweep]\nheader = M,error\n")
+
+
 class TestTables:
     def test_1d_rows(self):
         lines = reproduce_tables("1d").strip().splitlines()
@@ -203,6 +312,24 @@ class TestTables:
         assert lines[0] == "m,node4,overshoot"
         assert len(lines) == 5
         assert float(lines[1].split(",")[-1]) <= 1e-12
+
+    def test_1a_to_1e_independent_of_blas_threads(self):
+        # OpenBLAS reads its thread count at load time, so each count runs in a
+        # fresh interpreter
+        script = "from chebbvp.cli import reproduce_tables\nfor w in ('1a', '1b', '1c', '1d', '1e'):\n"
+        script += "    print(reproduce_tables(w), end='')\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert out.returncode == 0, out.stderr
+            outs.append(out.stdout)
+        assert len(outs[0].splitlines()) == 29  # five headers and 24 rows
+        assert outs[0] == outs[1]
 
     def test_deterministic_output(self):
         assert reproduce_tables("1d") == reproduce_tables("1d")
@@ -272,6 +399,19 @@ class TestMain:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "index,sigma,localization"
         assert len(lines) == 127  # 126 singular values of the M=128 system
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            builtin_spec_text("table1e.spec"),
+            builtin_spec_text("table4.spec"),
+            MINIMAL_FIRST_ORDER.replace("m = 16", "nodes = -1 0 1\norders = 16 16"),
+        ],
+        ids=["two_factors", "affine", "piecewise"],
+    )
+    def test_diag_needs_one_factor_on_one_grid(self, tmp_path, capsys, text):
+        assert main(["diag", self._spec_path(tmp_path, text)]) == 2
+        assert "diag expects one linear or quadratic factor" in capsys.readouterr().err
 
     def test_tables_subcommand(self, capsys):
         assert main(["tables", "1b"]) == 0
