@@ -42,7 +42,6 @@ from .diffmat import (
     AffineConvectionOp,
     DiffMatrix,
     build_diffmat,
-    build_operator_matrix,
     diff_endpoint_row,
 )
 from .factored import (
@@ -96,7 +95,6 @@ __all__ = [
     "banded_factor",
     "banded_solve",
     "build_diffmat",
-    "build_operator_matrix",
     "cheb_points",
     "condition_vs_parameter",
     "dense_export",

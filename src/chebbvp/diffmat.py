@@ -5,6 +5,8 @@ c_0 = c_M = 2 and c_k = 1 otherwise; the diagonal is the negated row sum of
 the off-diagonals, so constants map to zero exactly (the stable choice).
 Second derivatives are formed as the square of the first-derivative matrix,
 which is fine at the small per-interval orders used on piecewise grids.
+``affine_convection_matrix`` is the one operator matrix of the collocation
+backend.
 
 The endpoint rows of D, used by the piecewise collocation backend for its
 derivative boundary and interface rows, are built without materializing the
@@ -21,7 +23,6 @@ from math import isfinite
 import numpy as np
 
 from .chebyshev import cheb_points
-from .integration import FirstOrderOp, SecondOrderOp
 
 # full-matrix guard: (m+1)^2 doubles; 4096 keeps one matrix near 134 MB
 _MAX_DENSE_ORDER = 4096
@@ -80,19 +81,6 @@ def diff_endpoint_row(m: int, endpoint: int) -> np.ndarray:
     row[j] = -row.sum()  # full-row sum, bitwise identical to the matrix path
     row.setflags(write=False)
     return row
-
-
-def build_operator_matrix(op, d: DiffMatrix, scale: float = 1.0) -> np.ndarray:
-    """Dense matrix of the operator on a grid scaled by half-width `scale`.
-
-    (D - a) maps to D/scale - a I; (D^2 + bD + c) to (D/scale)^2 + b D/scale + c I.
-    """
-    dg = d.entries / scale
-    if isinstance(op, FirstOrderOp):
-        return dg - op.a * np.eye(d.m + 1)
-    if isinstance(op, SecondOrderOp):
-        return dg @ dg + op.b * dg + op.c * np.eye(d.m + 1)
-    raise TypeError(f"unsupported operator {type(op).__name__}")
 
 
 @dataclass(frozen=True)

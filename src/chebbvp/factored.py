@@ -11,10 +11,11 @@ the quantity with k "derivatives" relative to the level-0 solution, so level
 0 of the particular chain satisfies L u = f discretely and level 0 of each
 homogeneous chain satisfies L u = 0.
 
-The boundary conditions are fitted last.  Each condition is one linear
-functional of the Chebyshev coefficients, a weighted sum of the closed-form
-endpoint derivative rows T_n^(d)(+-1); it is applied to every basis solution
-and to the particular solution, and the resulting r x r dense system
+The boundary conditions are fitted last, by one fit for single and
+piecewise grids (a single grid is one interval).  Each condition is one
+linear functional of the Chebyshev coefficients, a weighted sum of the
+closed-form endpoint derivative rows T_n^(d)(+-1), applied to every chain of
+its end interval; interfaces add r rows each, and one dense system
 determines the combination constants.  The badly under-resolved pieces of
 the particular and homogeneous solutions cancel in this combination, which
 is why the grid only needs to resolve the boundary-fitted solution.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -157,26 +158,66 @@ def check_boundary_conditions(bcs: list[BoundaryCondition], r: int):
 
 def fit_boundary(chain: ChainSolution, bcs: list[BoundaryCondition]) -> Solution:
     """Fit the r combination constants to r boundary conditions."""
-    r = chain.operator.order
+    constants = fit_constants([chain], [1.0], bcs)[0]
+    return Solution(combine(chain, constants), constants, chain)
+
+
+def fit_constants(
+    chains: Sequence[ChainSolution], halves: Sequence[float], bcs: list[BoundaryCondition]
+) -> np.ndarray:
+    """Combination constants, shape (n, r), of the chains of n adjacent intervals.
+
+    Interval i is mapped to [-1, 1] from half-width halves[i].  The r
+    boundary rows come first, then r level-matching rows per interface.
+    """
+    n, r = len(chains), chains[0].operator.order
     check_boundary_conditions(bcs, r)
-    mat = np.empty((r, r))
-    rhs = np.empty(r)
-    for i, bc in enumerate(bcs):
-        part, *basis = apply_chain_row(chain, bc.row(chain.m))
-        mat[i] = basis
-        rhs[i] = bc.value - part
+    mat = np.zeros((r * n, r * n))
+    rhs = np.zeros(r * n)
+    for row, bc in enumerate(bcs):
+        i = 0 if bc.endpoint == -1 else n - 1
+        vals = _level_functional(chains[i], 0, _scaled_bc(bc, halves[i]).row(chains[i].m))
+        mat[row, i * r : (i + 1) * r] = vals[1:]
+        rhs[row] = bc.value - vals[0]
+    row = r
+    for i in range(n - 1):  # node between interval i and i+1
+        sl, sr = 1.0, 1.0
+        for j in range(r):
+            # order j reads level j, or the derivative of level j - 1 where a quadratic skips it
+            level, order = (j, 0) if j in chains[i].levels else (j - 1, 1)
+            left = sl * _level_functional(chains[i], level, endpoint_row(chains[i].m, 1, order))
+            right = sr * _level_functional(chains[i + 1], level, endpoint_row(chains[i + 1].m, -1, order))
+            mat[row, i * r : (i + 1) * r] = left[1:]
+            mat[row, (i + 1) * r : (i + 2) * r] = -right[1:]
+            rhs[row] = right[0] - left[0]
+            row += 1
+            sl /= halves[i]
+            sr /= halves[i + 1]
     try:
         constants = dense_solve(mat, rhs)
     except SingularSystemError as exc:
         raise SingularSystemError(
-            "boundary conditions do not determine a unique solution", column=exc.column
+            "boundary conditions do not determine a unique solution on this grid", column=exc.column
         ) from exc
-    return Solution(combine(chain, constants), constants, chain)
+    return constants.reshape(n, r)
 
 
-def apply_chain_row(chain: ChainSolution, row: np.ndarray) -> list[float]:
-    """One endpoint row applied to level 0 of every chain, particular first."""
-    return [apply_endpoint_row(c, row) for c in chain.levels[0]]
+def _scaled_bc(bc: BoundaryCondition, half_width: float) -> BoundaryCondition:
+    """Fold the (2/w)^d chain-rule factors of a global bc into local weights."""
+    weights = tuple((d, w / half_width**d) for d, w in bc.weights)
+    return BoundaryCondition(bc.endpoint, weights, bc.value)
+
+
+def _level_functional(chain: ChainSolution, level: int, row: np.ndarray) -> np.ndarray:
+    """An endpoint row applied to one level of every chain, particular first.
+
+    Chains that start below the level read are annihilated by the factors
+    above their start, so their entries are exactly zero.
+    """
+    out = np.zeros(chain.operator.order + 1)
+    for h, c in enumerate(chain.levels[level]):
+        out[h] = apply_endpoint_row(c, row)
+    return out
 
 
 def combine(chain: ChainSolution, constants: np.ndarray) -> ChebCoeffs:

@@ -4,8 +4,8 @@ The domain [eta_0, eta_n] is split at user-chosen nodes; each interval is
 mapped to [-1, 1], the operator is rescaled (a -> a w/2 for linear factors,
 (b, c) -> (b w/2, c w^2/4) for quadratic ones, right-hand side times
 (w/2)^r), and the factored-form solver produces one particular and r
-homogeneous chains per interval.  The r*n combination constants solve a
-dense system of r boundary rows plus r rows per interface.
+homogeneous chains per interval.  ``factored.fit_constants``, the fit of a
+single grid, solves for the r*n constants with r rows per interface added.
 
 Interface rows prefer the chain intermediates: the order-j condition
 matches (2/w_i)^j times the level-j quantity at the shared node, which for
@@ -13,15 +13,13 @@ an all-linear factorization at r = 2 is exactly the ((D - w b/2) u_i)(1)/w_i
 derivative-continuity condition.  Inside a quadratic block only even levels
 exist, so the odd orders there match the series endpoint derivative of the
 level below instead; both functionals are linear in the coefficients and
-the two reduce to the same continuity requirements.  Interface and boundary
-rows read endpoints through ``chebyshev.endpoint_derivative``, the same
-coefficient-space functional as the single-grid boundary fit.
+the two reduce to the same continuity requirements.
 
 A second backend discretizes each interval with a scaled differentiation
 matrix, collocates at interior points, and shares interface values between
 neighboring intervals (restricted to total order 2, which is all the dense
-collocation row-counting supports).  This backend also accepts the
-affine-convection operator with a y-proportional coefficient.  Its
+collocation row-counting supports).  Every operator, factored or not, takes
+the one form p u'' + (q1 y + q0) u' + r u (``AffineConvectionOp``).  Its
 derivative match at a shared node is weak: p times the jump in u' is
 balanced against the two intervals' residuals at the node, each weighted by
 its Clenshaw-Curtis endpoint weight times the half-width.  That is the
@@ -42,13 +40,12 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .banded import SingularSystemError, dense_solve
+from .banded import SingularSystemError
 from .chebyshev import (
     ChebCoeffs,
     GridValues,
     cheb_points,
     dense_sample,
-    endpoint_derivative,
     eval_series,
     grid_order,
     to_coeffs,
@@ -57,16 +54,14 @@ from .diffmat import (
     AffineConvectionOp,
     affine_convection_matrix,
     build_diffmat,
-    build_operator_matrix,
     diff_endpoint_row,
 )
 from .factored import (
     BoundaryCondition,
-    ChainSolution,
     OperatorFactorization,
-    apply_chain_row,
     check_boundary_conditions,
     combine,
+    fit_constants,
     solve_chains,
 )
 from .integration import FirstOrderOp, SecondOrderOp
@@ -85,6 +80,8 @@ class PiecewiseGrid:
         nodes = np.asarray(self.nodes, dtype=float).copy()
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("need at least two nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         orders = tuple(grid_order(m) for m in self.orders)
@@ -130,33 +127,18 @@ def rescale_operator(op: OperatorFactorization, w: float) -> tuple[OperatorFacto
     return OperatorFactorization(linear, quadratic), h**op.order
 
 
-def _interval_rhs(f: PiecewiseRhs, grid: PiecewiseGrid, i: int) -> ChebCoeffs:
+def _interval_values(f: PiecewiseRhs, grid: PiecewiseGrid, i: int) -> GridValues:
+    """Right-hand side on interval i: f sampled at its points, or the i-th of one GridValues per interval."""
+    m = grid.orders[i]
     if callable(f):
-        vals = GridValues(grid.orders[i], np.asarray(f(grid.interval_points(i)), dtype=float))
+        v = f(grid.interval_points(i))
+    elif len(f) != grid.n_intervals:
+        raise ValueError(f"got {len(f)} right-hand sides for intervals 0 to {grid.n_intervals - 1}")
     else:
-        vals = f[i]
-        if vals.m != grid.orders[i]:
-            raise ValueError(f"interval {i} right-hand side is on order {vals.m}, expected {grid.orders[i]}")
-    return to_coeffs(vals)
-
-
-def _level_functional(chain: ChainSolution, j: int, endpoint: int) -> np.ndarray:
-    """Order-j interface quantity of every chain, particular first, at a local endpoint.
-
-    Chains that start below the level read are annihilated by the factors
-    above their start, so their entries are exactly zero.
-    """
-    level, order = (j, 0) if j in chain.levels else (j - 1, 1)
-    out = np.zeros(chain.operator.order + 1)
-    for h, c in enumerate(chain.levels[level]):
-        out[h] = endpoint_derivative(c, endpoint, order)
-    return out
-
-
-def _scaled_bc(bc: BoundaryCondition, half_width: float) -> BoundaryCondition:
-    """Fold the (2/w)^d chain-rule factors of a global bc into local weights."""
-    weights = tuple((d, w / half_width**d) for d, w in bc.weights)
-    return BoundaryCondition(bc.endpoint, weights, bc.value)
+        v = f[i].v
+    if np.shape(v) != (m + 1,):
+        raise ValueError(f"interval {i} right-hand side has shape {np.shape(v)}, expected ({m + 1},)")
+    return GridValues(m, v)
 
 
 def piecewise_solve_spectral(
@@ -166,56 +148,22 @@ def piecewise_solve_spectral(
     bcs: list[BoundaryCondition],
 ) -> PiecewiseSolution:
     """Spectral-integration backend: factored chains per interval + interface fit."""
-    r = op.order
-    n = grid.n_intervals
-    check_boundary_conditions(bcs, r)
     for m in grid.orders:
-        if m < r + 3:
-            raise ValueError(f"spectral backend needs every interval order >= {r + 3}")
+        if m < op.order + 3:
+            raise ValueError(f"spectral backend needs every interval order >= {op.order + 3}")
 
-    widths = grid.widths
-    halves = widths / 2.0
     chains = []
-    for i in range(n):
-        op_i, s = rescale_operator(op, widths[i])
-        fc = _interval_rhs(f, grid, i)
+    for i, w in enumerate(grid.widths):
+        op_i, s = rescale_operator(op, w)
+        fc = to_coeffs(_interval_values(f, grid, i))
         chains.append(solve_chains(op_i, ChebCoeffs(fc.m, fc.a * s)))
-
-    size = r * n
-    mat = np.zeros((size, size))
-    rhs_vec = np.zeros(size)
-    row = 0
-    for bc in bcs:
-        i = 0 if bc.endpoint == -1 else n - 1
-        part, *basis = apply_chain_row(chains[i], _scaled_bc(bc, halves[i]).row(grid.orders[i]))
-        mat[row, i * r : (i + 1) * r] = basis
-        rhs_vec[row] = bc.value - part
-        row += 1
-
-    for i in range(n - 1):  # node between interval i and i+1
-        sl, sr = 1.0, 1.0
-        for j in range(r):
-            left = sl * _level_functional(chains[i], j, 1)
-            right = sr * _level_functional(chains[i + 1], j, -1)
-            mat[row, i * r : (i + 1) * r] = left[1:]
-            mat[row, (i + 1) * r : (i + 2) * r] = -right[1:]
-            rhs_vec[row] = right[0] - left[0]
-            row += 1
-            sl /= halves[i]
-            sr /= halves[i + 1]
-
-    try:
-        constants = dense_solve(mat, rhs_vec)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            "nodes/orders do not determine a unique solution", column=exc.column
-        ) from exc
-    constants = constants.reshape(n, r)
+    constants = fit_constants(chains, grid.widths / 2.0, bcs)
     local = tuple(combine(chain, c) for chain, c in zip(chains, constants))
     return PiecewiseSolution(grid, local, constants)
 
 
-def _global_second_order(op) -> SecondOrderOp | AffineConvectionOp:
+def _global_second_order(op) -> AffineConvectionOp:
+    """The order-2 operator as p u'' + (q1 y + q0) u' + r u."""
     if isinstance(op, AffineConvectionOp):
         return op
     if isinstance(op, OperatorFactorization):
@@ -223,8 +171,8 @@ def _global_second_order(op) -> SecondOrderOp | AffineConvectionOp:
             raise ValueError("differentiation-matrix backend supports total order 2 only")
         if len(op.linear) == 2:
             a1, a2 = op.linear[0].a, op.linear[1].a
-            return SecondOrderOp(-(a1 + a2), a1 * a2)
-        return op.quadratic[0]
+            return AffineConvectionOp(1.0, 0.0, -(a1 + a2), a1 * a2)
+        return AffineConvectionOp(1.0, 0.0, op.quadratic[0].b, op.quadratic[0].c)
     raise TypeError(f"unsupported operator {type(op).__name__}")
 
 
@@ -281,74 +229,54 @@ def piecewise_solve_diffmat(
         if m < 2:
             raise ValueError("differentiation-matrix backend needs every interval order >= 2")
 
-    widths = grid.widths
-    halves = widths / 2.0
+    # interval i's values sit in columns starts[i] : starts[i] + m_i + 1,
+    # ascending in y, so local rows (descending from y = +1) go in reversed
+    halves = grid.widths / 2.0
     orders = grid.orders
     starts = np.concatenate([[0], np.cumsum(orders)])
+    blocks = [slice(s, s + m + 1) for s, m in zip(starts, orders)]
     size = starts[-1] + 1
 
-    def gidx(i, j):
-        # local j descending from the right end; global index ascending in y
-        return starts[i] + (orders[i] - j)
-
-    dmats = [build_diffmat(m) for m in orders]
+    dmats = [build_diffmat(m) for m in orders]  # the dense-order guard runs before allocating
     mat = np.zeros((size, size))
     rhs_vec = np.zeros(size)
     ends = []
     row = 0
-    for i in range(n):
-        pts = grid.interval_points(i)
-        if isinstance(second, AffineConvectionOp):
-            li = affine_convection_matrix(second, dmats[i], halves[i], pts)
-        else:
-            li = build_operator_matrix(second, dmats[i], halves[i])
-        if callable(f):
-            fvals = np.asarray(f(pts), dtype=float)
-        else:
-            fv = f[i]
-            if fv.m != orders[i]:
-                raise ValueError(f"interval {i} right-hand side is on order {fv.m}, expected {orders[i]}")
-            fvals = fv.v
-        cols = np.array([gidx(i, k) for k in range(orders[i] + 1)])
-        for j in range(1, orders[i]):
-            mat[row, cols] = li[j]
-            rhs_vec[row] = fvals[j]
-            row += 1
+    for i, m in enumerate(orders):
+        li = affine_convection_matrix(second, dmats[i], halves[i], grid.interval_points(i))
+        fvals = _interval_values(f, grid, i).v
+        mat[row : row + m - 1, blocks[i]] = li[1:-1, ::-1]
+        rhs_vec[row : row + m - 1] = fvals[1:-1]
+        row += m - 1
         # residual rows and right-hand sides at the right (j = 0) and left (j = m) ends
         ends.append((li[0], li[-1], fvals[0], fvals[-1]))
 
-    p = second.diff2 if isinstance(second, AffineConvectionOp) else 1.0
+    p = second.diff2
     for i in range(n - 1):  # weak derivative match at the shared node
-        cols_l = np.array([gidx(i, k) for k in range(orders[i] + 1)])
-        cols_r = np.array([gidx(i + 1, k) for k in range(orders[i + 1] + 1)])
-        wl = halves[i] * _endpoint_weight(orders[i])
-        wr = halves[i + 1] * _endpoint_weight(orders[i + 1])
-        mat[row, cols_l] += wl * ends[i][0] - p * diff_endpoint_row(orders[i], 1) / halves[i]
-        mat[row, cols_r] += wr * ends[i + 1][1] + p * diff_endpoint_row(orders[i + 1], -1) / halves[i + 1]
+        ml, mr = orders[i], orders[i + 1]
+        wl = halves[i] * _endpoint_weight(ml)
+        wr = halves[i + 1] * _endpoint_weight(mr)
+        mat[row, blocks[i]] += (wl * ends[i][0] - p * diff_endpoint_row(ml, 1) / halves[i])[::-1]
+        mat[row, blocks[i + 1]] += (wr * ends[i + 1][1] + p * diff_endpoint_row(mr, -1) / halves[i + 1])[::-1]
         rhs_vec[row] = wl * ends[i][2] + wr * ends[i + 1][3]
         row += 1
 
-    for bc in bcs:
+    for row, bc in enumerate(bcs, row):
         i = 0 if bc.endpoint == -1 else n - 1
-        cols = np.array([gidx(i, k) for k in range(orders[i] + 1)])
         for d, w in bc.weights:
             if d == 0:
-                mat[row, gidx(i, orders[i] if bc.endpoint == -1 else 0)] += w
+                mat[row, 0 if bc.endpoint == -1 else size - 1] += w
             else:  # d == 1
-                mat[row, cols] += w * diff_endpoint_row(orders[i], bc.endpoint) / halves[i]
+                mat[row, blocks[i]] += (w * diff_endpoint_row(orders[i], bc.endpoint) / halves[i])[::-1]
         rhs_vec[row] = bc.value
-        row += 1
 
     _equilibrate_rows(mat, rhs_vec)
     try:
         x = np.linalg.solve(mat, rhs_vec)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"piecewise collocation system is singular: {exc}") from exc
-    local = []
-    for i in range(n):
-        vals = x[[gidx(i, j) for j in range(orders[i] + 1)]]
-        local.append(to_coeffs(GridValues(orders[i], vals)))
-    return PiecewiseSolution(grid, tuple(local), None)
+    local = tuple(to_coeffs(GridValues(m, x[block][::-1])) for m, block in zip(orders, blocks))
+    return PiecewiseSolution(grid, local, None)
 
 
 def _locate(grid: PiecewiseGrid, y: float) -> int:

@@ -8,10 +8,8 @@ from chebbvp.diffmat import (
     AffineConvectionOp,
     affine_convection_matrix,
     build_diffmat,
-    build_operator_matrix,
     diff_endpoint_row,
 )
-from chebbvp.integration import FirstOrderOp, SecondOrderOp
 
 
 def chebt(k, y):
@@ -83,21 +81,25 @@ class TestEndpointRows:
 
 
 class TestOperatorMatrix:
+    # p u'' + (q1 y + q0) u' + r u with only q0 = 1 is D itself
+    DERIVATIVE = AffineConvectionOp(0.0, 0.0, 1.0, 0.0)
+
     def test_first_order_identity_scale(self):
         d = build_diffmat(6)
-        mat = build_operator_matrix(FirstOrderOp(0.0), d, scale=1.0)
+        mat = affine_convection_matrix(self.DERIVATIVE, d, scale=1.0, y_global=cheb_points(6).points)
         np.testing.assert_array_equal(mat, d.entries)
 
     def test_second_derivative_of_t3(self):
         d = build_diffmat(8)
         y = cheb_points(8).points
-        mat = build_operator_matrix(SecondOrderOp(0.0, 0.0), d, scale=1.0)
+        mat = affine_convection_matrix(AffineConvectionOp(1.0, 0.0, 0.0, 0.0), d, scale=1.0, y_global=y)
         np.testing.assert_allclose(mat @ (4 * y**3 - 3 * y), 24 * y, atol=1e-12)
 
     def test_half_scale_doubles_first_derivative(self):
         d = build_diffmat(6)
-        full = build_operator_matrix(FirstOrderOp(0.0), d, scale=1.0)
-        half = build_operator_matrix(FirstOrderOp(0.0), d, scale=0.5)
+        y = cheb_points(6).points
+        full = affine_convection_matrix(self.DERIVATIVE, d, scale=1.0, y_global=y)
+        half = affine_convection_matrix(self.DERIVATIVE, d, scale=0.5, y_global=y / 2)
         np.testing.assert_allclose(half, 2.0 * full, atol=1e-15)
 
     def test_affine_convection_rows(self):

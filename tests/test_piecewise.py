@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from chebbvp import piecewise as piecewise_module
 from chebbvp.banded import SingularSystemError
 from chebbvp.chebyshev import GridValues, endpoint_derivative, eval_series, to_coeffs
+from chebbvp.cli import builtin_spec_text
 from chebbvp.diffmat import AffineConvectionOp, diff_endpoint_row
 from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
 from chebbvp.integration import FirstOrderOp, SecondOrderOp
@@ -26,6 +26,7 @@ from chebbvp.piecewise import (
     rescale_operator,
     sample_piecewise,
 )
+from chebbvp.problems import parse_problem
 
 D = BoundaryCondition.dirichlet
 ZERO = lambda y: np.zeros_like(y)
@@ -196,6 +197,11 @@ class TestSpectralBackend:
     def test_integral_float_interval_order(self):
         assert PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (16.0, np.float64(8.0))).orders == (16, 8)
 
+    @pytest.mark.parametrize("nodes", [[-np.inf, 0.0, 1.0], [-1.0, 0.0, np.inf], [-1.0, np.nan, 1.0]])
+    def test_non_finite_nodes_rejected(self, nodes):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseGrid(np.array(nodes), (16, 16))
+
     def test_degenerate_nodes_reported(self):
         op = OperatorFactorization(linear=(FirstOrderOp(0.0), FirstOrderOp(0.0)))
         grid = PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (8, 8))
@@ -208,13 +214,13 @@ def matched_level_jumps(op, f, grid, sol):
     """Relative jumps of every matched chain-level functional at each node."""
     from chebbvp.chebyshev import ChebCoeffs, eval_endpoints
     from chebbvp.factored import solve_chains
-    from chebbvp.piecewise import _interval_rhs
+    from chebbvp.piecewise import _interval_values
 
     r = op.order
     chains = []
     for i in range(grid.n_intervals):
         op_i, s = rescale_operator(op, grid.widths[i])
-        fc = _interval_rhs(f, grid, i)
+        fc = to_coeffs(_interval_values(f, grid, i))
         chains.append(solve_chains(op_i, ChebCoeffs(fc.m, fc.a * s)))
 
     def functional(chain, idx, j, endpoint):
@@ -300,7 +306,57 @@ class TestEvalPiecewise:
             eval_piecewise(layer_solution, 1.5)
 
 
+@pytest.mark.parametrize(
+    "solve", [piecewise_solve_spectral, piecewise_solve_diffmat], ids=["spectral", "diffmat"]
+)
+class TestIntervalRhs:
+    OP = OperatorFactorization(quadratic=(SecondOrderOp(0.0, -1.0),))
+    GRID = PiecewiseGrid(np.array([-1.0, 0.0, 0.5, 1.0]), (8, 10, 8))
+    BCS = [D(-1, 0.0), D(1, 1.0)]
+
+    def values(self, f):
+        return [GridValues(m, f(self.GRID.interval_points(i))) for i, m in enumerate(self.GRID.orders)]
+
+    def test_grid_values_match_callable_bitwise(self, solve):
+        f = lambda y: np.cos(2 * y)
+        ref = solve(self.OP, f, self.GRID, self.BCS)
+        sol = solve(self.OP, self.values(f), self.GRID, self.BCS)
+        for a, b in zip(sol.local_coeffs, ref.local_coeffs):
+            np.testing.assert_array_equal(a.a, b.a)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_one_grid_values_per_interval(self, solve, count):
+        values = (self.values(np.cos) * 2)[:count]
+        with pytest.raises(ValueError, match=f"got {count} right-hand sides for intervals 0 to 2"):
+            solve(self.OP, values, self.GRID, self.BCS)
+
+    def test_grid_values_on_the_interval_order(self, solve):
+        values = self.values(np.cos)
+        values[1] = GridValues(8, np.ones(9))
+        with pytest.raises(ValueError, match=r"interval 1 right-hand side has shape \(9,\), expected \(11"):
+            solve(self.OP, values, self.GRID, self.BCS)
+
+    def test_callable_returns_one_value_per_point(self, solve):
+        with pytest.raises(ValueError, match=r"interval 0 right-hand side has shape \(\), expected \(9,\)"):
+            solve(self.OP, lambda y: 0.0, self.GRID, self.BCS)
+
+
 class TestDiffmatBackend:
+    def test_operator_forms_agree_bitwise(self):
+        # (D - 2)(D + 3) = D^2 + D - 6 exactly, and p u'' + q0 u' + r u with p = 1
+        grid = PiecewiseGrid(np.array([-1.0, 0.2, 1.0]), (12, 16))
+        f = lambda y: np.cos(3 * y)
+        bcs = [D(-1, 0.5), BoundaryCondition.derivative(1, 1, -1.0)]
+        forms = [
+            OperatorFactorization(linear=(FirstOrderOp(2.0), FirstOrderOp(-3.0))),
+            OperatorFactorization(quadratic=(SecondOrderOp(1.0, -6.0),)),
+            AffineConvectionOp(1.0, 0.0, 1.0, -6.0),
+        ]
+        ref, *others = [piecewise_solve_diffmat(op, f, grid, bcs) for op in forms]
+        for sol in others:
+            for a, b in zip(sol.local_coeffs, ref.local_coeffs):
+                np.testing.assert_array_equal(a.a, b.a)
+
     def test_linear_solution_exact(self):
         op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, 0.0),))
         grid = PiecewiseGrid(np.array([-1.0, 0.3, 1.0]), (8, 8))
@@ -335,32 +391,30 @@ class TestDiffmatBackend:
             piecewise_solve_diffmat(op, ZERO, grid, [D(-1, 0.0), D(1, 0.0)])
 
 
-EPS = 1e-12
-SQEPS = 1e-6
+TABLE4 = parse_problem(builtin_spec_text("table4.spec"))
 
 
-def internal_layer_grid(m, node4_factor):
-    nodes = np.array([-1.0, -8 * SQEPS, -3 * SQEPS, node4_factor * SQEPS, 8 * SQEPS, 1.0])
-    return PiecewiseGrid(nodes, (m,) * 5)
+def table4_grid(m, node4):
+    """Grid of the table-4 [sweep] row with order m and node 4 at node4 * sqrt(eps)."""
+    (grid,) = [g for label, g in TABLE4.sweep.rows if label == f"{m},{node4:g}*sqrt(eps)"]
+    return grid
+
+
+def solve_table4(m, node4):
+    return piecewise_solve_diffmat(TABLE4.operator, TABLE4.rhs, table4_grid(m, node4), list(TABLE4.bcs))
 
 
 class TestInternalLayer:
-    OP = AffineConvectionOp(diff2=EPS, conv_slope=1.0, conv_const=0.0)
-    BCS = [D(-1, -1.0), D(1, 1.0)]
-
     def test_table4_row1_overshoot(self):
-        sol = piecewise_solve_diffmat(self.OP, ZERO, internal_layer_grid(32, 5.0), self.BCS)
-        assert overshoot(sol, -1.0, 1.0, samples=10000) <= 1e-12
+        assert overshoot(solve_table4(32, 5.0), -1.0, 1.0, samples=10000) <= 1e-12
 
     @pytest.mark.parametrize("m,node4,paper", [(32, 3.0, 1.2e-08), (32, 7.0, 8.6e-09)])
     def test_table4_other_rows_same_scale(self, m, node4, paper):
-        sol = piecewise_solve_diffmat(self.OP, ZERO, internal_layer_grid(m, node4), self.BCS)
         # node placement away from the optimum costs ~6 orders; stay within 100x of the paper
-        assert overshoot(sol, -1.0, 1.0, samples=10000) <= 100 * paper
+        assert overshoot(solve_table4(m, node4), -1.0, 1.0, samples=10000) <= 100 * paper
 
     def test_profile_matches_erf(self):
-        sol = piecewise_solve_diffmat(self.OP, ZERO, internal_layer_grid(32, 5.0), self.BCS)
-        assert sup_error(sol, lambda y: erf(y / np.sqrt(2 * EPS))) <= 1e-6
+        assert sup_error(solve_table4(32, 5.0), TABLE4.exact) <= 1e-6
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_table4_row1_independent_of_blas_threads(self, threads):
@@ -398,11 +452,10 @@ class TestInternalLayer:
                 return getattr(np, name)
 
         monkeypatch.setattr(piecewise_module, "np", Numpy())
-        grid = internal_layer_grid(32, 5.0)
-        piecewise_solve_diffmat(self.OP, ZERO, grid, self.BCS)
+        solve_table4(32, 5.0)
         monkeypatch.undo()
         (a, b), = systems
-        return grid, a, b
+        return table4_grid(32, 5.0), a, b
 
     @staticmethod
     def _exact_solve(mp, a, b):
@@ -433,7 +486,7 @@ class TestInternalLayer:
         x_exact = self._exact_solve(mp, a, b)
         assert max(self._overshoots(grid, x_exact)) <= 1e-13
         pts = np.concatenate([grid.interval_points(i)[::-1][:-1] for i in range(5)] + [[1.0]])
-        assert np.max(np.abs(x_exact - erf(pts / np.sqrt(2 * EPS)))) <= 1e-11
+        assert np.max(np.abs(x_exact - TABLE4.exact(pts))) <= 1e-11
         # rounding every entry once more (rows times factors in [1, 1.5)) moves nothing
         f = 1.0 + 0.5 * np.random.default_rng(0).random(len(b))
         x_perturbed = self._exact_solve(mp, a * f[:, None], b * f)
