@@ -38,12 +38,7 @@ from .diagnostics import (
     singular_spectrum,
     spectrum_csv,
 )
-from .diffmat import (
-    AffineConvectionOp,
-    DiffMatrix,
-    build_diffmat,
-    diff_endpoint_row,
-)
+from .diffmat import AffineConvectionOp, diff_endpoint_row
 from .factored import (
     BoundaryCondition,
     ChainSolution,
@@ -81,7 +76,6 @@ __all__ = [
     "ChainSolution",
     "ChebCoeffs",
     "ChebGrid",
-    "DiffMatrix",
     "FirstOrderOp",
     "GridValues",
     "OperatorFactorization",
@@ -94,7 +88,6 @@ __all__ = [
     "SpectrumReport",
     "banded_factor",
     "banded_solve",
-    "build_diffmat",
     "cheb_points",
     "condition_vs_parameter",
     "dense_export",

@@ -143,7 +143,7 @@ def eval_series(coeffs: ChebCoeffs, y):
     evaluation accurate near +-1 where boundary layers live.
     """
     yarr = np.asarray(y, dtype=float)
-    if np.any(yarr < -1.0) or np.any(yarr > 1.0):
+    if not np.all((yarr >= -1.0) & (yarr <= 1.0)):  # NaN included
         raise ValueError("evaluation point outside [-1, 1]")
     a = coeffs.a
     b1 = np.zeros_like(yarr)

@@ -1,12 +1,13 @@
-"""Chebyshev collocation differentiation matrices on [-1, 1].
+"""Chebyshev collocation differentiation on [-1, 1].
 
-Off-diagonal entries are (c_j/c_k) (-1)^(j+k) / (y_j - y_k) with
+Off-diagonal entries of D are (c_k/c_j) (-1)^(k+j) / (y_k - y_j) with
 c_0 = c_M = 2 and c_k = 1 otherwise; the diagonal is the negated row sum of
 the off-diagonals, so constants map to zero exactly (the stable choice).
-Second derivatives are formed as the square of the first-derivative matrix,
-which is fine at the small per-interval orders used on piecewise grids.
-``affine_convection_matrix`` is the one operator matrix of the collocation
-backend.
+The off-diagonal entries of D^2 come from the recursion
+D2_kj = 2 D_kj (D_kk - 1/(y_k - y_j)) (Weideman & Reddy 2000; Trefethen,
+Spectral Methods in MATLAB, ch. 6), and its diagonal is again the negated
+row sum.  ``operator_block`` writes one interval's operator straight into a
+view of the collocation system, with no matrix product.
 
 The endpoint rows of D, used by the piecewise collocation backend for its
 derivative boundary and interface rows, are built without materializing the
@@ -16,7 +17,7 @@ they read endpoint derivatives from the Chebyshev coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
 
@@ -24,46 +25,12 @@ import numpy as np
 
 from .chebyshev import cheb_points
 
-# full-matrix guard: (m+1)^2 doubles; 4096 keeps one matrix near 134 MB
-_MAX_DENSE_ORDER = 4096
 
-
-@dataclass(frozen=True)
-class DiffMatrix:
-    """Dense first-derivative matrix mapping grid values of u to values of u'."""
-
-    m: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.m + 1, self.m + 1):
-            raise ValueError("entries must be (m+1) x (m+1)")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-
-def _weights(m: int) -> np.ndarray:
-    c = np.ones(m + 1)
-    c[0] = c[m] = 2.0
-    return c
-
-
-def build_diffmat(m: int) -> DiffMatrix:
-    if m < 1:
-        raise ValueError("grid order must be >= 1")
-    if m > _MAX_DENSE_ORDER:
-        raise ValueError(f"dense differentiation matrix limited to m <= {_MAX_DENSE_ORDER}")
-    y = cheb_points(m).points
-    c = _weights(m)
-    signs = (-1.0) ** np.arange(m + 1)
-    diff = y[:, None] - y[None, :]
-    np.fill_diagonal(diff, 1.0)
-    d = (c[:, None] / c[None, :]) * (signs[:, None] * signs[None, :]) / diff
-    np.fill_diagonal(d, 0.0)
-    np.fill_diagonal(d, -d.sum(axis=1))
-    return DiffMatrix(m, d)
+def _signed_weights(m: int) -> np.ndarray:
+    """c_k (-1)^k: powers of two, so scaling by them or their ratios is exact."""
+    s = (-1.0) ** np.arange(m + 1)
+    s[[0, m]] *= 2.0
+    return s
 
 
 @lru_cache(maxsize=64)
@@ -72,13 +39,12 @@ def diff_endpoint_row(m: int, endpoint: int) -> np.ndarray:
     if endpoint not in (1, -1):
         raise ValueError("endpoint must be +1 or -1")
     y = cheb_points(m).points
-    c = _weights(m)
-    signs = (-1.0) ** np.arange(m + 1)
+    s = _signed_weights(m)
     j = 0 if endpoint == 1 else m
     row = np.zeros(m + 1)
     k = np.arange(m + 1) != j
-    row[k] = (c[j] / c[k]) * signs[j] * signs[k] / (y[j] - y[k])
-    row[j] = -row.sum()  # full-row sum, bitwise identical to the matrix path
+    row[k] = s[j] / s[k] / (y[j] - y[k])
+    row[j] = -row.sum()  # full-row sum, bitwise identical to operator_block's D
     row.setflags(write=False)
     return row
 
@@ -106,10 +72,35 @@ class AffineConvectionOp:
         return 2
 
 
-def affine_convection_matrix(
-    op: AffineConvectionOp, d: DiffMatrix, scale: float, y_global: np.ndarray
-) -> np.ndarray:
-    """Operator matrix on one interval, convection sampled at the global points."""
-    dg = d.entries / scale
-    conv = op.conv_slope * np.asarray(y_global) + op.conv_const
-    return op.diff2 * (dg @ dg) + conv[:, None] * dg + op.react * np.eye(d.m + 1)
+def operator_block(
+    op: AffineConvectionOp, m: int, half: float, y_global: np.ndarray, out: np.ndarray
+) -> None:
+    """Write p D^2/h^2 + (q1 y + q0) D/h + r I of the order-m grid into out.
+
+    h is the interval's half-width, the convection is sampled at its global
+    points y_global, and out is any (m+1) x (m+1) view (rows and columns in
+    local order, descending from y = +1).  One temporary of the block's size
+    holds D; the factors c_k (-1)^k are powers of two, so D_kj is the
+    correctly rounded quotient and its rows are bitwise ``diff_endpoint_row``.
+    """
+    y = cheb_points(m).points
+    s = _signed_weights(m)
+    d = np.subtract.outer(y, y)
+    np.fill_diagonal(d, 1.0)
+    np.divide(1.0, d, out=d)
+    np.fill_diagonal(d, 0.0)
+    d *= s[:, None]
+    d /= s[None, :]
+    np.fill_diagonal(d, -d.sum(axis=1))
+    # out = 1/(y_k - y_j) off the diagonal, then 2 D_kj (D_kk - 1/(y_k - y_j))
+    np.divide(d, s[:, None], out=out)
+    out *= s[None, :]
+    np.subtract(d.diagonal()[:, None], out, out=out)
+    out *= d
+    out *= 2.0
+    np.fill_diagonal(out, 0.0)
+    np.fill_diagonal(out, -out.sum(axis=1))
+    out *= op.diff2 / (half * half)
+    d *= ((op.conv_slope * np.asarray(y_global) + op.conv_const) / half)[:, None]
+    out += d
+    out[np.diag_indices(m + 1)] += op.react

@@ -15,12 +15,14 @@ exist, so the odd orders there match the series endpoint derivative of the
 level below instead; both functionals are linear in the coefficients and
 the two reduce to the same continuity requirements.
 
-A second backend discretizes each interval with a scaled differentiation
-matrix, collocates at interior points, and shares interface values between
-neighboring intervals (restricted to total order 2, which is all the dense
-collocation row-counting supports).  Every operator, factored or not, takes
-the one form p u'' + (q1 y + q0) u' + r u (``AffineConvectionOp``).  Its
-derivative match at a shared node is weak: p times the jump in u' is
+A second backend collocates on the same grids.  Its unknowns are the grid
+values, ascending in y, with one value per shared node; each interval's
+operator block (``diffmat.operator_block``) fills the rows and columns of
+its own values, so neighbors share the row and column of their common node.
+That row becomes the interface row, and the domain's first and last rows
+the two boundary conditions (total order 2 only).  Every operator,
+factored or not, takes the one form p u'' + (q1 y + q0) u' + r u
+(``AffineConvectionOp``).  Its derivative match at a shared node is weak: p times the jump in u' is
 balanced against the two intervals' residuals at the node, each weighted by
 its Clenshaw-Curtis endpoint weight times the half-width.  That is the
 interface equation of the Galerkin form under the grids' own quadrature.
@@ -50,12 +52,7 @@ from .chebyshev import (
     grid_order,
     to_coeffs,
 )
-from .diffmat import (
-    AffineConvectionOp,
-    affine_convection_matrix,
-    build_diffmat,
-    diff_endpoint_row,
-)
+from .diffmat import AffineConvectionOp, diff_endpoint_row, operator_block
 from .factored import (
     BoundaryCondition,
     OperatorFactorization,
@@ -65,6 +62,12 @@ from .factored import (
     solve_chains,
 )
 from .integration import FirstOrderOp, SecondOrderOp
+
+# The dense collocation system: every interval m <= 4096 and at most 8193
+# unknowns, two full intervals, so the system and LAPACK's copy of it stay
+# near 1.1 GB.  Both are checked before it is allocated.
+_MAX_DENSE_ORDER = 4096
+_MAX_UNKNOWNS = 2 * _MAX_DENSE_ORDER + 1
 
 PiecewiseRhs = Union[Callable[[np.ndarray], np.ndarray], Sequence[GridValues]]
 
@@ -201,6 +204,12 @@ def piecewise_solve_diffmat(
 ) -> PiecewiseSolution:
     """Differentiation-matrix backend: interior collocation + shared interface values.
 
+    Interval i's block covers rows and columns starts[i] : starts[i] + m_i + 1
+    and is written there reversed, since local points descend from y = +1.
+    Before the next block overwrites the shared corner, its two end rows are
+    copied; each shared row is then rewritten as the interface row from
+    those copies, and rows 0 and size - 1 as the boundary conditions.
+
     For p u'' + q u' + r u = f, the row of an interface node b between
     intervals L and R reads
 
@@ -212,9 +221,9 @@ def piecewise_solve_diffmat(
     unresolved tail derivative (about 1e-8 at y = -8e-6) on the outer
     interval.  Interior collocation there can only carry it through the
     T_M-like mode, whose derivative vanishes at the interior points, and
-    even the exactly solved system overshoots by about 4e-12 (8e-12 at the
+    even the exactly solved system overshoots by about 1e-11 (2.5e-11 at the
     nodes).  The weak row weights that derivative by p = eps, and the exact
-    overshoot drops to about 7e-15.
+    overshoot drops to about 1e-15.
 
     The rows carry the interval scales 2/w and (2/w)^2, so their maxima span
     many orders of magnitude on table 4's grid.  Every row is scaled by a
@@ -225,44 +234,41 @@ def piecewise_solve_diffmat(
     second = _global_second_order(op)
     n = grid.n_intervals
     check_boundary_conditions(bcs, 2)
-    for m in grid.orders:
-        if m < 2:
-            raise ValueError("differentiation-matrix backend needs every interval order >= 2")
-
-    # interval i's values sit in columns starts[i] : starts[i] + m_i + 1,
-    # ascending in y, so local rows (descending from y = +1) go in reversed
-    halves = grid.widths / 2.0
     orders = grid.orders
+    if min(orders) < 2:
+        raise ValueError("differentiation-matrix backend needs every interval order >= 2")
+    halves = grid.widths / 2.0
     starts = np.concatenate([[0], np.cumsum(orders)])
     blocks = [slice(s, s + m + 1) for s, m in zip(starts, orders)]
     size = starts[-1] + 1
+    if max(orders) > _MAX_DENSE_ORDER or size > _MAX_UNKNOWNS:
+        limit = f"m <= {_MAX_DENSE_ORDER} per interval and {_MAX_UNKNOWNS} unknowns"
+        raise ValueError(f"collocation system limited to {limit}, got m = {max(orders)} and {size} unknowns")
 
-    dmats = [build_diffmat(m) for m in orders]  # the dense-order guard runs before allocating
     mat = np.zeros((size, size))
     rhs_vec = np.zeros(size)
     ends = []
-    row = 0
-    for i, m in enumerate(orders):
-        li = affine_convection_matrix(second, dmats[i], halves[i], grid.interval_points(i))
-        fvals = _interval_values(f, grid, i).v
-        mat[row : row + m - 1, blocks[i]] = li[1:-1, ::-1]
-        rhs_vec[row : row + m - 1] = fvals[1:-1]
-        row += m - 1
-        # residual rows and right-hand sides at the right (j = 0) and left (j = m) ends
-        ends.append((li[0], li[-1], fvals[0], fvals[-1]))
+    for i, (m, b) in enumerate(zip(orders, blocks)):
+        operator_block(second, m, halves[i], grid.interval_points(i), mat[b, b][::-1, ::-1])
+        rhs_vec[b] = _interval_values(f, grid, i).v[::-1]
+        # residual rows and right-hand sides at the left (y = -1) and right (y = +1) ends
+        ends.append((mat[[b.start, b.stop - 1], b], rhs_vec[[b.start, b.stop - 1]]))
 
     p = second.diff2
     for i in range(n - 1):  # weak derivative match at the shared node
-        ml, mr = orders[i], orders[i + 1]
-        wl = halves[i] * _endpoint_weight(ml)
-        wr = halves[i + 1] * _endpoint_weight(mr)
-        mat[row, blocks[i]] += (wl * ends[i][0] - p * diff_endpoint_row(ml, 1) / halves[i])[::-1]
-        mat[row, blocks[i + 1]] += (wr * ends[i + 1][1] + p * diff_endpoint_row(mr, -1) / halves[i + 1])[::-1]
-        rhs_vec[row] = wl * ends[i][2] + wr * ends[i + 1][3]
-        row += 1
+        (rows_l, f_l), (rows_r, f_r) = ends[i], ends[i + 1]
+        wl = halves[i] * _endpoint_weight(orders[i])
+        wr = halves[i + 1] * _endpoint_weight(orders[i + 1])
+        row = starts[i + 1]
+        mat[row] = 0.0
+        dl, dr = diff_endpoint_row(orders[i], 1)[::-1], diff_endpoint_row(orders[i + 1], -1)[::-1]
+        mat[row, blocks[i]] += wl * rows_l[1] - p * dl / halves[i]
+        mat[row, blocks[i + 1]] += wr * rows_r[0] + p * dr / halves[i + 1]
+        rhs_vec[row] = wl * f_l[1] + wr * f_r[0]
 
-    for row, bc in enumerate(bcs, row):
+    for row, bc in zip((0, size - 1), bcs):  # the domain's end rows
         i = 0 if bc.endpoint == -1 else n - 1
+        mat[row] = 0.0
         for d, w in bc.weights:
             if d == 0:
                 mat[row, 0 if bc.endpoint == -1 else size - 1] += w
@@ -281,7 +287,7 @@ def piecewise_solve_diffmat(
 
 def _locate(grid: PiecewiseGrid, y: float) -> int:
     nodes = grid.nodes
-    if y < nodes[0] or y > nodes[-1]:
+    if not nodes[0] <= y <= nodes[-1]:  # NaN included
         raise ValueError(f"{y} outside the solution domain [{nodes[0]}, {nodes[-1]}]")
     i = int(np.searchsorted(nodes, y, side="left"))  # ties go to the left interval
     return max(i, 1) - 1

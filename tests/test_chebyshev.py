@@ -145,6 +145,11 @@ class TestEvalSeries:
         with pytest.raises(ValueError):
             eval_series(ChebCoeffs.zeros(4), 1.0000001)
 
+    @pytest.mark.parametrize("y", [np.nan, np.array([0.5, np.nan])], ids=["scalar", "array"])
+    def test_rejects_nan(self, y):
+        with pytest.raises(ValueError, match="outside"):
+            eval_series(ChebCoeffs.unit(4, 1), y)
+
     def test_vectorized(self):
         c = ChebCoeffs(5, np.array([0.4, 1.0, -2.0, 0.3, 0.0, 0.0]))
         ys = np.linspace(-1, 1, 11)

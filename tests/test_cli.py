@@ -371,6 +371,12 @@ class TestMain:
         assert main(["solve", path]) == 2
         assert "is not an integer" in capsys.readouterr().err
 
+    def test_solve_oversized_collocation_system_exits_2(self, tmp_path, capsys):
+        text = builtin_spec_text("table3.spec").replace("orders = 32 32 32\n", "orders = 4096 4096 4096\n", 1)
+        path = self._spec_path(tmp_path, text)
+        assert main(["solve", path, "--backend", "diffmat"]) == 2
+        assert "8193 unknowns, got m = 4096 and 12289 unknowns" in capsys.readouterr().err
+
     def test_solve_parse_error(self, tmp_path, capsys):
         path = self._spec_path(tmp_path, "[operator]\nlinear nope\n")
         assert main(["solve", path]) == 2

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,10 @@ class TestEvalPiecewise:
         with pytest.raises(ValueError, match="outside"):
             eval_piecewise(layer_solution, 1.5)
 
+    def test_nan_rejected(self, layer_solution):
+        with pytest.raises(ValueError, match="outside"):
+            eval_piecewise(layer_solution, float("nan"))
+
 
 @pytest.mark.parametrize(
     "solve", [piecewise_solve_spectral, piecewise_solve_diffmat], ids=["spectral", "diffmat"]
@@ -381,6 +386,38 @@ class TestDiffmatBackend:
         bcs = [D(-1, 1.0), BoundaryCondition.derivative(1, 1, 2.0)]
         sol = piecewise_solve_diffmat(op, lambda y: np.full_like(y, 2.0), grid, bcs)
         assert sup_error(sol, lambda y: y**2, refine=2000) <= 1e-12
+
+    def test_both_conditions_at_one_end(self):
+        # u'' = 2 with u(-1) = 1, u'(-1) = -2: u = y^2
+        op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, 0.0),))
+        grid = PiecewiseGrid(np.array([-1.0, -0.2, 1.0]), (8, 10))
+        bcs = [D(-1, 1.0), BoundaryCondition.derivative(-1, 1, -2.0)]
+        sol = piecewise_solve_diffmat(op, lambda y: np.full_like(y, 2.0), grid, bcs)
+        assert sup_error(sol, lambda y: y**2, refine=2000) <= 1e-12
+
+    @pytest.mark.parametrize("orders", [(4097,), (16, 4096, 4096), (4096, 4096, 4096)])
+    def test_system_size_checked_before_allocating(self, orders):
+        grid = PiecewiseGrid(np.linspace(-1.0, 1.0, len(orders) + 1), orders)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limited to m <= 4096 per interval and 8193 unknowns"):
+                piecewise_solve_diffmat(LAYER_OP, ZERO, grid, LAYER_BCS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_peak_memory_two_blocks(self):
+        # the system and one temporary of the block's size: no product or copies of D
+        m = 2048
+        grid = PiecewiseGrid(np.array([-1.0, 1.0]), (m,))
+        tracemalloc.start()
+        try:
+            piecewise_solve_diffmat(LAYER_OP, ZERO, grid, LAYER_BCS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * (m + 1) ** 2
 
     def test_rejects_higher_order(self):
         op = OperatorFactorization(
@@ -498,11 +535,11 @@ class TestInternalLayer:
     def test_table4_row1_strong_derivative_match_overshoots_in_exact_arithmetic(self, monkeypatch):
         mp = pytest.importorskip("mpmath")
         grid, a, b = self._row1_system(monkeypatch)
-        # swap the four weak interface rows (after the 5 x 31 collocation rows)
+        # swap the four weak interface rows (the rows of the shared nodes)
         # for u_L'(b) - u_R'(b) = 0
         halves = grid.widths / 2
         for i in range(4):
-            row = 5 * 31 + i
+            row = 32 * (i + 1)
             a[row] = 0.0
             a[row, 32 * i : 32 * i + 33] += diff_endpoint_row(32, 1)[::-1] / halves[i]
             a[row, 32 * i + 32 : 32 * i + 65] -= diff_endpoint_row(32, -1)[::-1] / halves[i + 1]
