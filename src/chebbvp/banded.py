@@ -59,14 +59,6 @@ class BandedMatrix:
                 bands[ku - d, : n + d] = vals
         return BandedMatrix(n, kl, ku, bands)
 
-    def entry(self, i: int, j: int) -> float:
-        """A[i, j]; exactly 0 outside the band."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError("index out of range")
-        if -self.kl <= j - i <= self.ku:
-            return float(self.bands[self.ku + i - j, j])
-        return 0.0
-
     def todense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
         for d in range(-self.kl, self.ku + 1):

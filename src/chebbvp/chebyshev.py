@@ -98,11 +98,12 @@ class ChebCoeffs:
     a: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.a, dtype=float).copy()
+        arr = np.array(self.a, dtype=float)
         if arr.shape != (self.m + 1,):
             raise ValueError(f"expected {self.m + 1} coefficients, got {arr.shape}")
         arr[self.m] = 0.0
-        object.__setattr__(self, "a", _readonly(arr))
+        arr.setflags(write=False)
+        object.__setattr__(self, "a", arr)
 
     @staticmethod
     def zeros(m: int) -> "ChebCoeffs":
@@ -205,12 +206,9 @@ def integrate_coeffs(coeffs: ChebCoeffs) -> ChebCoeffs:
     T_2/4, int T_0 = T_1.  The contribution that would land on index M is
     dropped and a[M] stays zero.
     """
-    m = coeffs.m
-    a = coeffs.a
-    b = np.zeros(m + 1)
-    n = np.arange(1, m)
-    b[1:m] = (a[0 : m - 1] - a[2 : m + 1]) / (2.0 * n)
-    return ChebCoeffs(m, b)
+    b = np.zeros(coeffs.m + 1)
+    b[1 : coeffs.m] = integral_rows(coeffs)
+    return ChebCoeffs(coeffs.m, b)
 
 
 def double_integrate_coeffs(coeffs: ChebCoeffs) -> ChebCoeffs:
@@ -220,25 +218,28 @@ def double_integrate_coeffs(coeffs: ChebCoeffs) -> ChebCoeffs:
     for n > 2 together with the low-order special cases; truncation as in
     integrate_coeffs (indices beyond M-1 dropped, virtual a[M+1] = 0).
     """
+    c = np.zeros(coeffs.m + 1)
+    c[2 : coeffs.m] = double_integral_rows(coeffs)
+    return ChebCoeffs(coeffs.m, c)
+
+
+def integral_rows(coeffs: ChebCoeffs) -> np.ndarray:
+    """Coefficients n = 1..M-1 of integrate_coeffs, (a_{n-1} - a_{n+1}) / (2n), as an array."""
+    m, a = coeffs.m, coeffs.a
+    n = np.arange(1, m)
+    return (a[0 : m - 1] - a[2 : m + 1]) / (2.0 * n)
+
+
+def double_integral_rows(coeffs: ChebCoeffs) -> np.ndarray:
+    """Coefficients n = 2..M-1 of double_integrate_coeffs, as an array."""
     m = coeffs.m
     ap = np.concatenate([coeffs.a, [0.0, 0.0]])
-    c = np.zeros(m + 1)
     n = np.arange(2, m)
-    c[2:m] = (
+    return (
         ap[0 : m - 2] / (4.0 * n * (n - 1))
         - ap[2:m] / (2.0 * (n * n - 1))
         + ap[4 : m + 2] / (4.0 * n * (n + 1))
     )
-    return ChebCoeffs(m, c)
-
-
-def pad_coeffs(coeffs: ChebCoeffs, m_new: int) -> ChebCoeffs:
-    """Same polynomial on a finer grid order (zero-padded coefficients)."""
-    if m_new < coeffs.m:
-        raise ValueError("pad target must not be smaller than current order")
-    a = np.zeros(m_new + 1)
-    a[: coeffs.m + 1] = coeffs.a
-    return ChebCoeffs(m_new, a)
 
 
 def dense_sample(coeffs: ChebCoeffs, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,5 +249,6 @@ def dense_sample(coeffs: ChebCoeffs, order: int) -> tuple[np.ndarray, np.ndarray
     so a refined clustered sampling costs one DCT.
     """
     order = max(order, coeffs.m)
-    padded = pad_coeffs(coeffs, order)
-    return cheb_points(order).points, to_values(padded).v
+    a = np.zeros(order + 1)
+    a[: coeffs.m + 1] = coeffs.a
+    return cheb_points(order).points, to_values(ChebCoeffs(order, a)).v

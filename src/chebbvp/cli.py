@@ -30,9 +30,7 @@ import numpy as np
 from . import diffmat as _diffmat_mod
 from . import integration as _integration_mod
 from .banded import SingularSystemError
-from .chebyshev import cheb_points, to_values
 from .diagnostics import SpectrumReport, dense_export, singular_spectrum, spectrum_csv
-from .factored import solve_bvp
 from .diffmat import AffineConvectionOp
 from .piecewise import (
     PiecewiseGrid,
@@ -50,38 +48,30 @@ class RunReport:
     backend: str
     points: int
     error: float | None
-    solution: object
-
-
-def _solution_samples(solution) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(solution, PiecewiseSolution):
-        return sample_piecewise(solution)
-    return cheb_points(solution.coeffs.m).points, to_values(solution.coeffs).v
+    solution: PiecewiseSolution
 
 
 def run(spec: ProblemSpec, backend: str | None = None) -> RunReport:
-    """Solve one problem spec and report the grid-sampled sup-norm error."""
+    """Solve one problem spec and report the grid-sampled sup-norm error.
+
+    A single grid of order m is solved as the one interval [-1, 1] of a
+    piecewise grid, on either backend.
+    """
     backend = backend or spec.backend
     if backend not in ("spectral", "diffmat"):
         raise ValueError(f"unknown backend {backend!r}")
     if isinstance(spec.operator, AffineConvectionOp) and backend != "diffmat":
         raise ValueError("the affine-convection operator requires the diffmat backend")
 
-    if backend == "spectral":
-        if spec.is_piecewise:
-            solution = piecewise_solve_spectral(spec.operator, spec.rhs, spec.grid, list(spec.bcs))
-        else:
-            solution = solve_bvp(spec.operator, spec.rhs, list(spec.bcs), m=spec.grid)
-    else:
-        grid = spec.grid if spec.is_piecewise else PiecewiseGrid(np.array([-1.0, 1.0]), (spec.grid,))
-        solution = piecewise_solve_diffmat(spec.operator, spec.rhs, grid, list(spec.bcs))
+    grid = spec.grid if spec.is_piecewise else PiecewiseGrid(np.array([-1.0, 1.0]), (spec.grid,))
+    solve = piecewise_solve_spectral if backend == "spectral" else piecewise_solve_diffmat
+    solution = solve(spec.operator, spec.rhs, grid, list(spec.bcs))
 
-    pts, vals = _solution_samples(solution)
+    pts, vals = sample_piecewise(solution)
     error = None
     if spec.exact is not None:
         error = float(np.max(np.abs(vals - spec.exact(pts))))
-    points = sum(spec.grid.orders) if spec.is_piecewise else spec.grid
-    return RunReport(backend, points, error, solution)
+    return RunReport(backend, sum(grid.orders), error, solution)
 
 
 def _clear_setup_caches():

@@ -19,7 +19,9 @@ T_0(u) = T_1(u) = 0 the rows n = 2..M-1 form a pentadiagonal system
 
 with f_M = f_{M+1} = 0.  The integration constants are never represented:
 rows n >= r do not involve them, which is precisely why the integral
-conditions yield banded systems.
+conditions yield banded systems.  The right-hand sides are
+``chebyshev.integral_rows`` and ``double_integral_rows``, the stencils of
+``integrate_coeffs`` and ``double_integrate_coeffs``.
 
 Each banded matrix depends only on the factor and M, so its factorization
 is cached and shared by every solve through that factor: the particular
@@ -38,7 +40,9 @@ import numpy as np
 from .banded import BandedFactorization, BandedMatrix, banded_factor, banded_solve
 from .chebyshev import (
     ChebCoeffs,
+    double_integral_rows,
     double_integrate_coeffs,
+    integral_rows,
     integrate_coeffs,
 )
 
@@ -80,13 +84,6 @@ def first_order_matrix(op: FirstOrderOp, m: int) -> BandedMatrix:
     return BandedMatrix.from_diagonals(m - 1, 1, 1, {0: np.ones(m - 1), -1: sub, 1: sup})
 
 
-def first_order_rhs(f: ChebCoeffs) -> np.ndarray:
-    """Coefficients of int f for rows n = 1..M-1 (f_M = 0 by construction)."""
-    m = f.m
-    n = np.arange(1, m)
-    return (f.a[: m - 1] - f.a[2 : m + 1]) / (2.0 * n)
-
-
 def second_order_matrix(op: SecondOrderOp, m: int) -> BandedMatrix:
     """Pentadiagonal system for alpha_2..alpha_{M-1} (rows n = 2..M-1)."""
     _require_order(m, 5, "second-order spectral integration")
@@ -99,18 +96,6 @@ def second_order_matrix(op: SecondOrderOp, m: int) -> BandedMatrix:
     d_sup2 = c / (4.0 * n[:-2] * (n[:-2] + 1))     # alpha_{n+2}, rows n = 2..M-3
     return BandedMatrix.from_diagonals(
         m - 2, 2, 2, {0: d0, -1: d_sub1, -2: d_sub2, 1: d_sup1, 2: d_sup2}
-    )
-
-
-def second_order_rhs(f: ChebCoeffs) -> np.ndarray:
-    """Coefficients of iint f for rows n = 2..M-1 (f_M = f_{M+1} = 0)."""
-    m = f.m
-    fp = np.concatenate([f.a, [0.0, 0.0]])
-    n = np.arange(2, m)
-    return (
-        fp[: m - 2] / (4.0 * n * (n - 1))
-        - fp[2:m] / (2.0 * (n * n - 1))
-        + fp[4 : m + 2] / (4.0 * n * (n + 1))
     )
 
 
@@ -127,8 +112,7 @@ def _second_order_factorization(op: SecondOrderOp, m: int) -> BandedFactorizatio
 def first_order_particular(op: FirstOrderOp, f: ChebCoeffs) -> ChebCoeffs:
     """Particular solution of (D - a)u = f with T_0(u) = 0."""
     m = f.m
-    _require_order(m, 3, "first-order spectral integration")
-    x = banded_solve(_first_order_factorization(op, m), first_order_rhs(f))
+    x = banded_solve(_first_order_factorization(op, m), integral_rows(f))
     a = np.zeros(m + 1)
     a[1:m] = x
     return ChebCoeffs(m, a)
@@ -137,8 +121,7 @@ def first_order_particular(op: FirstOrderOp, f: ChebCoeffs) -> ChebCoeffs:
 def second_order_particular(op: SecondOrderOp, f: ChebCoeffs) -> ChebCoeffs:
     """Particular solution of (D^2 + bD + c)u = f with T_0(u) = T_1(u) = 0."""
     m = f.m
-    _require_order(m, 5, "second-order spectral integration")
-    x = banded_solve(_second_order_factorization(op, m), second_order_rhs(f))
+    x = banded_solve(_second_order_factorization(op, m), double_integral_rows(f))
     a = np.zeros(m + 1)
     a[2:m] = x
     return ChebCoeffs(m, a)

@@ -51,7 +51,7 @@ from scipy.special import erf
 
 from .chebyshev import grid_order
 from .diffmat import AffineConvectionOp
-from .factored import BoundaryCondition, OperatorFactorization
+from .factored import BoundaryCondition, OperatorFactorization, check_boundary_conditions
 from .integration import FirstOrderOp, SecondOrderOp
 from .piecewise import PiecewiseGrid
 
@@ -78,17 +78,11 @@ class Sweep:
 class ProblemSpec:
     operator: OperatorFactorization | AffineConvectionOp
     rhs: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    rhs_text: str
     grid: int | PiecewiseGrid
     bcs: tuple[BoundaryCondition, ...]
     backend: str = "spectral"
     exact: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    exact_name: str | None = None
     sweep: Sweep | None = None
-
-    @property
-    def order(self) -> int:
-        return self.operator.order
 
     @property
     def is_piecewise(self) -> bool:
@@ -318,12 +312,10 @@ def parse_problem(text: str) -> ProblemSpec:
     quadratic: list[SecondOrderOp] = []
     affine: AffineConvectionOp | None = None
     affine_line = 0
-    rhs = None
-    rhs_text = "const:0"
+    rhs = parse_rhs_expr("const:0")
     grid_entries: list[tuple[str, str, int]] = []
     bcs: list[BoundaryCondition] = []
     exact = None
-    exact_name = None
     sweep_lines: list[tuple[int, str]] = []
 
     for section, lineno, line in _split_sections(text):
@@ -342,19 +334,19 @@ def parse_problem(text: str) -> ProblemSpec:
                     f"expected 'linear a', 'quadratic b c', or 'ysecond p q1 q0 r', got {line!r}", lineno
                 )
         elif section == "rhs":
-            key, rhs_text = _key_value(line)
+            key, expr = _key_value(line)
             if key != "expr":
                 raise ProblemFormatError(f"unknown rhs key {key!r}", lineno)
-            rhs = parse_rhs_expr(rhs_text, lineno)
+            rhs = parse_rhs_expr(expr, lineno)
         elif section == "grid":
             grid_entries.append((*_key_value(line), lineno))
         elif section == "bc":
             bcs.append(_parse_bc_line(line, lineno))
         elif section == "exact":
-            key, exact_name = _key_value(line)
+            key, name = _key_value(line)
             if key != "name":
                 raise ProblemFormatError(f"unknown exact key {key!r}", lineno)
-            exact = exact_function(exact_name, lineno)
+            exact = exact_function(name, lineno)
         elif section == "sweep":
             sweep_lines.append((lineno, line))
 
@@ -369,29 +361,22 @@ def parse_problem(text: str) -> ProblemSpec:
     else:
         raise ProblemFormatError("missing [operator] section")
 
-    if rhs is None:
-        rhs = parse_rhs_expr(rhs_text)
-
     grid = _parse_grid(grid_entries)
     if grid is None:
         raise ProblemFormatError("missing [grid] section")
 
-    r = operator.order
-    if len(bcs) != r:
-        raise ProblemFormatError(f"bc count mismatch: operator order {r} needs {r} conditions, got {len(bcs)}")
-    for bc in bcs:
-        if bc.max_order >= r:
-            raise ProblemFormatError(f"boundary derivative order {bc.max_order} must be < {r}")
+    try:
+        check_boundary_conditions(bcs, operator.order)
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from None
 
     return ProblemSpec(
         operator=operator,
         rhs=rhs,
-        rhs_text=rhs_text,
         grid=grid,
         bcs=tuple(bcs),
         backend=backend,
         exact=exact,
-        exact_name=exact_name,
         sweep=_parse_sweep(sweep_lines, operator, backend) if sweep_lines else None,
     )
 

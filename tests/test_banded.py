@@ -26,16 +26,18 @@ def random_banded(n, kl, ku, seed, dominant=True):
 
 class TestBandedMatrix:
     def test_out_of_band_entry_is_exact_zero(self):
-        a = random_banded(6, 1, 1, seed=0)
-        assert a.entry(0, 3) == 0.0
-        assert a.entry(5, 2) == 0.0
+        dense = random_banded(6, 1, 1, seed=0).todense()
+        assert dense[0, 3] == 0.0
+        assert dense[5, 2] == 0.0
 
     def test_dense_agrees_with_entry(self):
+        # LAPACK band layout: A[i, j] = bands[ku + i - j, j] inside the band, 0 outside
         a = random_banded(7, 2, 2, seed=1)
         dense = a.todense()
         for i in range(7):
             for j in range(7):
-                assert dense[i, j] == a.entry(i, j)
+                inside = -a.kl <= j - i <= a.ku
+                assert dense[i, j] == (a.bands[a.ku + i - j, j] if inside else 0.0)
 
     def test_rejects_wide_band(self):
         with pytest.raises(ValueError):

@@ -127,6 +127,19 @@ class TestTransforms:
         c = to_coeffs(GridValues(5, np.random.default_rng(1).standard_normal(6)))
         assert c.a[5] == 0.0
 
+    def test_coeffs_copy_input_without_modifying_it(self):
+        src = np.arange(1.0, 7.0)
+        c = ChebCoeffs(5, src)
+        np.testing.assert_array_equal(src, np.arange(1.0, 7.0))  # a[M] zeroed on the copy only
+        np.testing.assert_array_equal(c.a, [1.0, 2.0, 3.0, 4.0, 5.0, 0.0])
+        assert not np.shares_memory(c.a, src)
+        assert not c.a.flags.writeable
+        src[0] = -1.0
+        assert c.a[0] == 1.0
+        # a read-only input is copied too, into a fresh read-only array
+        again = ChebCoeffs(5, c.a)
+        assert not np.shares_memory(again.a, c.a) and not again.a.flags.writeable
+
 
 class TestEvalSeries:
     def test_t2_at_zero(self):

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chebbvp.chebyshev import cheb_points
+from chebbvp.chebyshev import cheb_points, to_values
 from chebbvp.cli import TABLES, builtin_spec_text, main, reproduce_tables, run, sweep_cell
 from chebbvp.diffmat import AffineConvectionOp
-from chebbvp.factored import BoundaryCondition, OperatorFactorization
+from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
 from chebbvp.integration import FirstOrderOp
 from chebbvp.piecewise import PiecewiseGrid, overshoot
 from chebbvp.problems import (
@@ -41,18 +41,18 @@ at=-1 d0=1 value=0
 class TestParseProblem:
     def test_minimal_first_order(self):
         spec = parse_problem(MINIMAL_FIRST_ORDER)
-        assert spec.order == 1
+        assert spec.operator.order == 1
         assert spec.grid == 16
         assert spec.backend == "spectral"
 
     def test_bc_count_mismatch(self):
         text = MINIMAL_FIRST_ORDER + "at=+1 d0=1 value=0\n"
-        with pytest.raises(ProblemFormatError, match="bc count mismatch"):
+        with pytest.raises(ProblemFormatError, match="order 1 needs exactly 1 boundary conditions, got 2"):
             parse_problem(text)
 
     def test_shipped_table1e_file(self):
         spec = parse_problem(builtin_spec_text("table1e.spec"))
-        assert spec.order == 4
+        assert spec.operator.order == 4
         assert len(spec.operator.quadratic) == 2
         assert len(spec.operator.linear) == 0
         assert len(spec.bcs) == 4
@@ -195,6 +195,22 @@ class TestRun:
         e2 = run(spec, "diffmat").error
         assert e1 <= 1e-9 and e2 <= 1e-9
         assert run(spec).points == 96
+
+    @pytest.mark.parametrize("name", ["table1a", "table1b", "table1c", "table1d", "table1e", "fig2"])
+    def test_single_grid_matches_solve_bvp_bitwise(self, name):
+        # run solves a single grid as the one interval [-1, 1]
+        spec = parse_problem(builtin_spec_text(f"{name}.spec"))
+        assert not spec.is_piecewise
+        report = run(spec, "spectral")
+        direct = solve_bvp(spec.operator, spec.rhs, list(spec.bcs), m=spec.grid)
+        (local,) = report.solution.local_coeffs
+        assert local.a.tobytes() == direct.coeffs.a.tobytes()
+        assert report.points == spec.grid
+        if spec.exact is None:
+            assert report.error is None
+        else:
+            pts, vals = cheb_points(spec.grid).points, to_values(direct.coeffs).v
+            assert report.error == float(np.max(np.abs(vals - spec.exact(pts))))
 
     def test_affine_operator_requires_diffmat(self):
         spec = parse_problem(builtin_spec_text("table4.spec"))
@@ -370,6 +386,13 @@ class TestMain:
         path = self._spec_path(tmp_path, MINIMAL_FIRST_ORDER.replace("m = 16", grid))
         assert main(["solve", path]) == 2
         assert "is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["spectral", "diffmat"])
+    def test_solve_zero_grid_order_exits_2(self, tmp_path, capsys, backend):
+        # one message for the rule on both backends, single grid or piecewise
+        path = self._spec_path(tmp_path, MINIMAL_FIRST_ORDER.replace("m = 16", "m = 0"))
+        assert main(["solve", path, "--backend", backend]) == 2
+        assert "grid order must be >= 1, got 0" in capsys.readouterr().err
 
     def test_solve_oversized_collocation_system_exits_2(self, tmp_path, capsys):
         text = builtin_spec_text("table3.spec").replace("orders = 32 32 32\n", "orders = 4096 4096 4096\n", 1)

@@ -188,7 +188,7 @@ class TestSpectralBackend:
 
     def test_interval_order_too_small(self):
         grid = PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (4, 32))
-        with pytest.raises(ValueError, match="interval order"):
+        with pytest.raises(ValueError, match="needs M >= 5, got 4"):
             piecewise_solve_spectral(LAYER_OP, ZERO, grid, LAYER_BCS)
 
     def test_non_integer_interval_order(self):
@@ -402,6 +402,18 @@ class TestDiffmatBackend:
         try:
             with pytest.raises(ValueError, match="limited to m <= 4096 per interval and 8193 unknowns"):
                 piecewise_solve_diffmat(LAYER_OP, ZERO, grid, LAYER_BCS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_rhs_checked_before_allocating(self):
+        # a callable returning a scalar fails before the 4113 x 4113 system exists
+        grid = PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (16, 4096))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"interval 0 right-hand side has shape \(\), expected \(17,\)"):
+                piecewise_solve_diffmat(LAYER_OP, lambda y: 0.0, grid, LAYER_BCS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
