@@ -14,7 +14,6 @@ from .banded import (
     SingularSystemError,
     banded_factor,
     banded_solve,
-    dense_solve,
 )
 from .chebyshev import (
     ChebCoeffs,
@@ -23,7 +22,6 @@ from .chebyshev import (
     cheb_points,
     dense_sample,
     double_integrate_coeffs,
-    eval_endpoints,
     eval_series,
     function_to_coeffs,
     integrate_coeffs,
@@ -92,10 +90,8 @@ __all__ = [
     "condition_vs_parameter",
     "dense_export",
     "dense_sample",
-    "dense_solve",
     "diff_endpoint_row",
     "double_integrate_coeffs",
-    "eval_endpoints",
     "eval_piecewise",
     "eval_series",
     "exact_function",

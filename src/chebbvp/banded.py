@@ -1,12 +1,12 @@
-"""Banded and small dense linear solvers.
+"""Banded and dense linear solvers, both on LAPACK.
 
 The tridiagonal/pentadiagonal coefficient systems are stored diagonal-major
 in LAPACK band layout (``bands[ku + i - j, j] = A[i, j]``) and factored with
 partial pivoting via ``dgbtrf``/``dgbtrs``; pivoting widens the band by kl
-superdiagonals, which the factorization allocates.  The small combination
-systems that fit boundary conditions are solved by an in-house Gaussian
-elimination with partial pivoting, which doubles as the independent oracle
-for the banded path.
+superdiagonals, which the factorization allocates.  Every dense system, the
+small boundary and interface fit as well as the collocation backend's, goes
+through ``dense_solve``: power-of-two row equilibration, then LAPACK's LU
+with partial pivoting through ``np.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.linalg import lapack
 
 
 class SingularSystemError(ValueError):
-    """Raised when elimination meets an exactly zero pivot."""
+    """Raised when an LU factorization meets an exactly zero pivot."""
 
     def __init__(self, message: str, column: int | None = None):
         super().__init__(message)
@@ -105,26 +105,28 @@ def banded_solve(f: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
     return x[:, 0]
 
 
+def _equilibrate_rows(mat: np.ndarray, rhs: np.ndarray) -> None:
+    """Scale each row in place by the power of two that brings its max to [0.5, 1).
+
+    Powers of two, as in LAPACK's dgeequb, make the scaling exact; all-zero
+    rows are left as they are.
+    """
+    row_max = np.maximum(mat.max(axis=1), -mat.min(axis=1))
+    scale = np.ldexp(1.0, -np.frexp(row_max)[1])
+    mat *= scale[:, None]
+    rhs *= scale
+
+
 def dense_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting for small dense systems."""
-    a = np.array(a, dtype=float)
-    b = np.array(rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if b.shape != (n,):
-        raise ValueError("rhs length does not match matrix size")
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            raise SingularSystemError(f"singular system at column {k}", column=k)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
-        b[k + 1 :] -= factors * b[k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
+    """Solve a x = rhs, overwriting the float arrays a and rhs with their row-scaled forms.
+
+    Each row is scaled by a power of two (row equilibration, Skeel 1980),
+    which leaves the exact solution unchanged and keeps partial pivoting
+    from losing digits to raw row scales that span many orders of
+    magnitude.  Working in place, no copy of a large system is made here.
+    """
+    _equilibrate_rows(a, rhs)
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("dense system is exactly singular") from exc

@@ -194,11 +194,6 @@ def endpoint_derivative(coeffs: ChebCoeffs, endpoint: int, order: int) -> float:
     return apply_endpoint_row(coeffs, endpoint_row(coeffs.m, endpoint, order))
 
 
-def eval_endpoints(coeffs: ChebCoeffs) -> tuple[float, float]:
-    """(u(+1), u(-1)) from coefficients: u(+-1) = a0/2 + sum (+-1)^j a_j."""
-    return endpoint_derivative(coeffs, 1, 0), endpoint_derivative(coeffs, -1, 0)
-
-
 def integrate_coeffs(coeffs: ChebCoeffs) -> ChebCoeffs:
     """Antiderivative coefficients with the T_0 coefficient set to zero.
 
@@ -231,14 +226,14 @@ def integral_rows(coeffs: ChebCoeffs) -> np.ndarray:
 
 
 def double_integral_rows(coeffs: ChebCoeffs) -> np.ndarray:
-    """Coefficients n = 2..M-1 of double_integrate_coeffs, as an array."""
-    m = coeffs.m
+    """Coefficients n = 2..M-1 of double_integrate_coeffs, as an array (empty for M = 1)."""
     ap = np.concatenate([coeffs.a, [0.0, 0.0]])
-    n = np.arange(2, m)
+    n = np.arange(2, coeffs.m)
+    k = len(n)
     return (
-        ap[0 : m - 2] / (4.0 * n * (n - 1))
-        - ap[2:m] / (2.0 * (n * n - 1))
-        + ap[4 : m + 2] / (4.0 * n * (n + 1))
+        ap[0:k] / (4.0 * n * (n - 1))
+        - ap[2 : k + 2] / (2.0 * (n * n - 1))
+        + ap[4 : k + 4] / (4.0 * n * (n + 1))
     )
 
 

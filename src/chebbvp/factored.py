@@ -15,8 +15,9 @@ The boundary conditions are fitted last, by one fit for single and
 piecewise grids (a single grid is one interval).  Each condition is one
 linear functional of the Chebyshev coefficients, a weighted sum of the
 closed-form endpoint derivative rows T_n^(d)(+-1), applied to every chain of
-its end interval; interfaces add r rows each, and one dense system
-determines the combination constants.  The badly under-resolved pieces of
+its end interval; interfaces add r rows each, and one dense system,
+row-equilibrated and solved by LAPACK (``banded.dense_solve``), determines
+the combination constants.  The badly under-resolved pieces of
 the particular and homogeneous solutions cancel in this combination, which
 is why the grid only needs to resolve the boundary-fitted solution.
 """
@@ -196,9 +197,7 @@ def fit_constants(
     try:
         constants = dense_solve(mat, rhs)
     except SingularSystemError as exc:
-        raise SingularSystemError(
-            "boundary conditions do not determine a unique solution on this grid", column=exc.column
-        ) from exc
+        raise SingularSystemError("boundary conditions do not determine a unique solution on this grid") from exc
     return constants.reshape(n, r)
 
 

@@ -28,11 +28,9 @@ its Clenshaw-Curtis endpoint weight times the half-width.  That is the
 interface equation of the Galerkin form under the grids' own quadrature.
 It holds for the exact solution, and it keeps a derivative that one side
 cannot resolve (the Gaussian tail of an internal layer, say) from being
-forced onto the other side's highest Chebyshev mode.  The rows carry the
-interval scales, so their maxima span many orders of magnitude on an
-internal-layer grid; each row is scaled by a power of two before the dense
-solve, which leaves the exact solution unchanged and keeps partial pivoting
-from losing digits to the raw row scales.
+forced onto the other side's highest Chebyshev mode.  The system goes to
+``banded.dense_solve``, the same row-equilibrated LAPACK solve as the
+spectral backend's fit.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .banded import SingularSystemError
+from .banded import dense_solve
 from .chebyshev import (
     ChebCoeffs,
     GridValues,
@@ -64,8 +62,9 @@ from .factored import (
 from .integration import FirstOrderOp, SecondOrderOp
 
 # The dense collocation system: every interval m <= 4096 and at most 8193
-# unknowns, two full intervals, so the system and LAPACK's copy of it stay
-# near 1.1 GB.  Both are checked before it is allocated.
+# unknowns, two full intervals, so the system and the working copy that
+# np.linalg.solve makes of it stay near 1.1 GB.  Both are checked before it
+# is allocated.
 _MAX_DENSE_ORDER = 4096
 _MAX_UNKNOWNS = 2 * _MAX_DENSE_ORDER + 1
 
@@ -180,18 +179,6 @@ def _endpoint_weight(m: int) -> float:
     return 1.0 / (m * m - 1) if m % 2 == 0 else 1.0 / (m * m)
 
 
-def _equilibrate_rows(mat: np.ndarray, rhs: np.ndarray) -> None:
-    """Scale each row in place by the power of two that brings its max to [0.5, 1).
-
-    Powers of two, as in LAPACK's dgeequb, make the scaling exact; all-zero
-    rows are left as they are.
-    """
-    row_max = np.maximum(mat.max(axis=1), -mat.min(axis=1))
-    scale = np.ldexp(1.0, -np.frexp(row_max)[1])
-    mat *= scale[:, None]
-    rhs *= scale
-
-
 def piecewise_solve_diffmat(
     op,
     f: PiecewiseRhs,
@@ -222,10 +209,9 @@ def piecewise_solve_diffmat(
     overshoot drops to about 1e-15.
 
     The rows carry the interval scales 2/w and (2/w)^2, so their maxima span
-    many orders of magnitude on table 4's grid.  Every row is scaled by a
-    power of two before the dense solve (row equilibration, Skeel 1980).
-    This leaves the exact solution unchanged and keeps partial pivoting from
-    losing digits to the raw row scales.
+    many orders of magnitude on table 4's grid.  ``dense_solve`` scales
+    every row by a power of two in place before LAPACK's LU, so the raw row
+    scales cost no digits.
     """
     second = _global_second_order(op)
     n = grid.n_intervals
@@ -273,11 +259,7 @@ def piecewise_solve_diffmat(
                 mat[row, blocks[i]] += (w * diff_endpoint_row(orders[i], bc.endpoint) / halves[i])[::-1]
         rhs_vec[row] = bc.value
 
-    _equilibrate_rows(mat, rhs_vec)
-    try:
-        x = np.linalg.solve(mat, rhs_vec)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"piecewise collocation system is singular: {exc}") from exc
+    x = dense_solve(mat, rhs_vec)
     local = tuple(to_coeffs(GridValues(m, x[block][::-1])) for m, block in zip(orders, blocks))
     return PiecewiseSolution(grid, local, None)
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from chebbvp.banded import banded_factor, banded_solve, dense_solve
+from chebbvp.banded import banded_factor, banded_solve
 from chebbvp.chebyshev import (
     ChebCoeffs,
     GridValues,
@@ -27,6 +27,8 @@ from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
 from chebbvp.integration import FirstOrderOp, SecondOrderOp, _first_order_factorization
 from chebbvp.piecewise import sample_piecewise
 from chebbvp.problems import parse_problem
+
+from elimination import elimination_solve
 
 D = BoundaryCondition.dirichlet
 
@@ -122,7 +124,7 @@ def _banded_vs_dense_worst():
         a = BandedMatrix.from_diagonals(n, 2, 2, diags)
         rhs = rng.standard_normal(n)
         x = banded_solve(banded_factor(a), rhs)
-        ref = dense_solve(a.todense(), rhs)
+        ref = elimination_solve(a.todense(), rhs)
         worst = max(worst, np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-300))
     return worst
 

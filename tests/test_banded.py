@@ -1,4 +1,6 @@
-"""Banded LU against the in-house dense elimination oracle."""
+"""Banded LU and the LAPACK dense solve against a Python elimination oracle."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,13 @@ from hypothesis import strategies as st
 from chebbvp.banded import (
     BandedMatrix,
     SingularSystemError,
+    _equilibrate_rows,
     banded_factor,
     banded_solve,
     dense_solve,
 )
+
+from elimination import elimination_solve
 
 
 def random_banded(n, kl, ku, seed, dominant=True):
@@ -72,7 +77,7 @@ class TestBandedFactorSolve:
         rng = np.random.default_rng(4)
         rhs = rng.standard_normal(64)
         x = banded_solve(banded_factor(a), rhs)
-        oracle = dense_solve(a.todense(), rhs)
+        oracle = elimination_solve(a.todense(), rhs)
         np.testing.assert_allclose(x, oracle, rtol=1e-12, atol=1e-12)
 
     def test_singular_reports_column(self):
@@ -93,7 +98,7 @@ class TestBandedFactorSolve:
         a = random_banded(n, kl, ku, seed=seed)
         rhs = np.random.default_rng(seed + 1).standard_normal(n)
         x = banded_solve(banded_factor(a), rhs)
-        oracle = dense_solve(a.todense(), rhs)
+        oracle = elimination_solve(a.todense(), rhs)
         np.testing.assert_allclose(x, oracle, rtol=1e-12, atol=1e-12)
 
     @given(st.integers(4, 256), st.integers(0, 100))
@@ -120,15 +125,15 @@ class TestBandedFactorSolve:
 class TestDenseSolve:
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_array_equal(dense_solve(np.eye(3), rhs), rhs)
+        np.testing.assert_array_equal(dense_solve(np.eye(3), rhs.copy()), rhs)
 
     def test_hand_2x2(self):
         a = np.array([[1.0, 1.0], [1.0, -1.0]])
-        np.testing.assert_allclose(dense_solve(a, [3.0, 1.0]), [2.0, 1.0])
+        np.testing.assert_allclose(dense_solve(a, np.array([3.0, 1.0])), [2.0, 1.0])
 
     def test_singular_reported(self):
-        with pytest.raises(SingularSystemError):
-            dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
+        with pytest.raises(SingularSystemError, match="exactly singular"):
+            dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
 
     @given(st.integers(0, 500))
     @settings(max_examples=30)
@@ -136,5 +141,89 @@ class TestDenseSolve:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
         rhs = rng.standard_normal(8)
+        x = dense_solve(a.copy(), rhs.copy())
+        assert np.max(np.abs(a @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+
+    @given(st.integers(2, 24), st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_elimination_oracle_on_graded_rows(self, n, seed):
+        # row scales spanning 1e-150..1e150, which the power-of-two
+        # equilibration takes out before the LU
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+        x_true = rng.standard_normal(n)
+        scales = 10.0 ** rng.uniform(-150, 150, n)
+        a *= scales[:, None]
+        rhs = a @ x_true
+        oracle = elimination_solve(a, rhs)
+        x = dense_solve(a.copy(), rhs.copy())
+        np.testing.assert_allclose(x, oracle, rtol=1e-10, atol=1e-10 * np.max(np.abs(oracle)))
+
+    def test_works_in_place(self):
+        # the caller's arrays hold the row-scaled system afterwards
+        a = np.array([[3.0, 1.0], [0.25, 0.125]])
+        rhs = np.array([5.0, 0.5])
         x = dense_solve(a, rhs)
+        np.testing.assert_array_equal(a, [[0.75, 0.25], [0.5, 0.25]])
+        np.testing.assert_array_equal(rhs, [1.25, 1.0])
+        np.testing.assert_allclose(x, [1.0, 2.0])
+
+    def test_copies_nothing(self):
+        n = 1000
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
+        rhs = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            dense_solve(a, rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * n * n
+
+
+class TestEquilibrateRows:
+    def test_row_maxima_in_half_open_unit_interval(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((6, 6)) * 10.0 ** rng.uniform(-200, 200, 6)[:, None]
+        rhs = rng.standard_normal(6)
+        a0, rhs0 = a.copy(), rhs.copy()
+        _equilibrate_rows(a, rhs)
+        row_max = np.max(np.abs(a), axis=1)
+        assert np.all((0.5 <= row_max) & (row_max < 1.0))
+        # one exact power of two per row, applied to the row and its rhs entry
+        scale = a[:, 0] / a0[:, 0]
+        assert np.all(np.frexp(scale)[0] == 0.5)
+        np.testing.assert_array_equal(a, a0 * scale[:, None])
+        np.testing.assert_array_equal(rhs, rhs0 * scale)
+
+    def test_zero_row_left_alone(self):
+        a = np.array([[0.0, 0.0], [-3.0, 1.0]])
+        rhs = np.array([0.0, 6.0])
+        _equilibrate_rows(a, rhs)
+        np.testing.assert_array_equal(a, [[0.0, 0.0], [-0.75, 0.25]])
+        np.testing.assert_array_equal(rhs, [0.0, 1.5])
+
+
+class TestEliminationOracle:
+    def test_identity(self):
+        rhs = np.array([3.0, -1.0, 2.0])
+        np.testing.assert_array_equal(elimination_solve(np.eye(3), rhs), rhs)
+
+    def test_hand_2x2(self):
+        a = np.array([[1.0, 1.0], [1.0, -1.0]])
+        np.testing.assert_allclose(elimination_solve(a, [3.0, 1.0]), [2.0, 1.0])
+
+    def test_singular_reports_column(self):
+        with pytest.raises(SingularSystemError) as exc:
+            elimination_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
+        assert exc.value.column == 1
+
+    @given(st.integers(0, 500))
+    @settings(max_examples=30)
+    def test_residual_8x8(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
+        rhs = rng.standard_normal(8)
+        x = elimination_solve(a, rhs)
         assert np.max(np.abs(a @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(x)))

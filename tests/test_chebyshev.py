@@ -13,7 +13,6 @@ from chebbvp.chebyshev import (
     dense_sample,
     double_integrate_coeffs,
     endpoint_derivative,
-    eval_endpoints,
     eval_series,
     integrate_coeffs,
     to_coeffs,
@@ -178,14 +177,16 @@ class TestEvalSeries:
 
 class TestEndpoints:
     def test_t1(self):
-        assert eval_endpoints(ChebCoeffs.unit(5, 1)) == (1.0, -1.0)
+        t1 = ChebCoeffs.unit(5, 1)
+        assert (endpoint_derivative(t1, 1, 0), endpoint_derivative(t1, -1, 0)) == (1.0, -1.0)
 
     def test_constant(self):
-        assert eval_endpoints(ChebCoeffs.unit(5, 0)) == (1.0, 1.0)
+        t0 = ChebCoeffs.unit(5, 0)
+        assert (endpoint_derivative(t0, 1, 0), endpoint_derivative(t0, -1, 0)) == (1.0, 1.0)
 
     @given(coeff_vectors())
     def test_agrees_with_eval_series(self, c):
-        plus, minus = eval_endpoints(c)
+        plus, minus = endpoint_derivative(c, 1, 0), endpoint_derivative(c, -1, 0)
         scale = max(1.0, abs(c.a).sum())
         assert abs(plus - eval_series(c, 1.0)) <= 1e-14 * scale
         assert abs(minus - eval_series(c, -1.0)) <= 1e-14 * scale
@@ -232,6 +233,16 @@ class TestIntegration:
         out = double_integrate_coeffs(ChebCoeffs.unit(8, 2))
         assert out.a[4] == pytest.approx(1.0 / 48)
         assert out.a[2] == pytest.approx(-1.0 / 6)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 17])
+    def test_double_integral_stencil_bitwise(self, m):
+        # the three-term stencil on the zero-padded coefficients, bit for bit;
+        # M = 1 has no rows n = 2..M-1 and gives the zero series
+        a = np.append(ChebCoeffs(m, np.random.default_rng(m).standard_normal(m + 1)).a, [0.0, 0.0])
+        n = np.arange(2, m)
+        expect = a[n - 2] / (4.0 * n * (n - 1)) - a[n] / (2.0 * (n * n - 1)) + a[n + 2] / (4.0 * n * (n + 1))
+        got = double_integrate_coeffs(ChebCoeffs(m, a[: m + 1]))
+        np.testing.assert_array_equal(got.a, np.concatenate([[0.0, 0.0], expect, [0.0]])[: m + 1])
 
     def test_double_t5_matches_composition(self):
         m = 16

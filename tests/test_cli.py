@@ -331,12 +331,20 @@ class TestTables:
 
     def test_1a_to_1e_independent_of_blas_threads(self):
         # OpenBLAS reads its thread count at load time, so each count runs in a
-        # fresh interpreter
-        script = "from chebbvp.cli import reproduce_tables\nfor w in ('1a', '1b', '1c', '1d', '1e'):\n"
+        # fresh interpreter.  Table 3 adds its spectral column (error1), whose
+        # piecewise fit runs on LAPACK, without the m2 = 4096 diffmat solve.
+        script = "from dataclasses import replace\n"
+        script += "from chebbvp.cli import _fmt, builtin_spec_text, reproduce_tables, sweep_cell\n"
+        script += "from chebbvp.problems import parse_problem\n"
+        script += "for w in ('1a', '1b', '1c', '1d', '1e'):\n"
         script += "    print(reproduce_tables(w), end='')\n"
+        script += "spec = parse_problem(builtin_spec_text('table3.spec'))\n"
+        script += "assert spec.sweep.columns[0][0] == 'spectral'\n"
+        script += "for label, grid in spec.sweep.rows:\n"
+        script += "    print(label, _fmt(sweep_cell(replace(spec, grid=grid), spec.sweep.columns[0])))\n"
         src = str(Path(__file__).resolve().parents[1] / "src")
         outs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "4"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = subprocess.run(
@@ -344,8 +352,8 @@ class TestTables:
             )
             assert out.returncode == 0, out.stderr
             outs.append(out.stdout)
-        assert len(outs[0].splitlines()) == 29  # five headers and 24 rows
-        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 34  # five headers, 24 rows and table 3's five
+        assert outs[0] == outs[1] == outs[2]
 
     def test_deterministic_output(self):
         assert reproduce_tables("1d") == reproduce_tables("1d")
@@ -399,6 +407,16 @@ class TestMain:
         path = self._spec_path(tmp_path, text)
         assert main(["solve", path, "--backend", "diffmat"]) == 2
         assert "8193 unknowns, got m = 4096 and 12289 unknowns" in capsys.readouterr().err
+
+    def test_solve_singular_collocation_system_exits_2(self, tmp_path, capsys):
+        # u'' = 0 with u'(-1) = u'(1) = 0 on one m = 2 interval leaves the constant free
+        text = MINIMAL_FIRST_ORDER.replace("linear 1", "quadratic 0 0").replace("m = 16", "m = 2")
+        text = text.replace("at=-1 d0=1 value=0", "at=-1 d1=1 value=0\nat=+1 d1=1 value=0")
+        path = self._spec_path(tmp_path, text)
+        assert main(["solve", path, "--backend", "diffmat"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: dense system is exactly singular\n"
 
     def test_solve_parse_error(self, tmp_path, capsys):
         path = self._spec_path(tmp_path, "[operator]\nlinear nope\n")

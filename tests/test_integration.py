@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chebbvp.chebyshev import (
     ChebCoeffs,
     double_integral_rows,
-    eval_endpoints,
+    endpoint_derivative,
     function_to_coeffs,
     integral_rows,
 )
@@ -73,7 +73,7 @@ class TestFirstOrderHomogeneous:
 
     def test_exponential_ratio(self):
         u = homogeneous_starts(FirstOrderOp(1.0), 32)[0]
-        plus, minus = eval_endpoints(u)
+        plus, minus = endpoint_derivative(u, 1, 0), endpoint_derivative(u, -1, 0)
         assert plus / minus == pytest.approx(np.e**2, rel=1e-10)
 
     @pytest.mark.parametrize("a", [-3.0, 0.5, 1e3])
@@ -98,6 +98,11 @@ class TestSecondOrderParticular:
         f = function_to_coeffs(lambda y: 20 * y**3 + 24 * y**2 + 9 * y - 6, 16)
         u = second_order_particular(SecondOrderOp(2.0, 5.0), f)
         np.testing.assert_allclose(u.a, ChebCoeffs.unit(16, 3).a, atol=1e-12)
+
+    def test_residual_of_m1_series_is_empty(self):
+        # rows n = 2..M-1: none at M = 1
+        u = ChebCoeffs(1, np.ones(2))
+        assert second_order_residual(SecondOrderOp(1.0, 2.0), u, u).shape == (0,)
 
     def test_huge_coefficient_residual_at_roundoff(self):
         # (D^2 - a^2) u = -(pi^2 + a^2) sin(pi y) at a = 1e6, M = 30: the

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chebbvp import piecewise as piecewise_module
-from chebbvp.banded import SingularSystemError
+from chebbvp.banded import SingularSystemError, _equilibrate_rows, dense_solve
 from chebbvp.chebyshev import GridValues, endpoint_derivative, eval_series, to_coeffs
 from chebbvp.cli import builtin_spec_text
 from chebbvp.diffmat import AffineConvectionOp, diff_endpoint_row
@@ -213,7 +213,7 @@ class TestSpectralBackend:
 
 def matched_level_jumps(op, f, grid, sol):
     """Relative jumps of every matched chain-level functional at each node."""
-    from chebbvp.chebyshev import ChebCoeffs, eval_endpoints
+    from chebbvp.chebyshev import ChebCoeffs
     from chebbvp.factored import solve_chains
     from chebbvp.piecewise import _interval_values
 
@@ -226,9 +226,8 @@ def matched_level_jumps(op, f, grid, sol):
 
     def functional(chain, idx, j, endpoint):
         # chains missing from a level are exactly zero there
-        side = 0 if endpoint == 1 else 1
         if j in chain.levels:
-            vals = [eval_endpoints(c)[side] for c in chain.levels[j]]
+            vals = [endpoint_derivative(c, endpoint, 0) for c in chain.levels[j]]
         else:
             vals = [endpoint_derivative(c, endpoint, 1) for c in chain.levels[j - 1]]
         assert 1 <= len(vals) <= r + 1
@@ -395,6 +394,14 @@ class TestDiffmatBackend:
         sol = piecewise_solve_diffmat(op, lambda y: np.full_like(y, 2.0), grid, bcs)
         assert sup_error(sol, lambda y: y**2, refine=2000) <= 1e-12
 
+    def test_singular_system_reported(self):
+        # u'' = 0 with u'(-1) = u'(1) = 0 leaves the constant free
+        op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, 0.0),))
+        grid = PiecewiseGrid(np.array([-1.0, 1.0]), (2,))
+        bcs = [BoundaryCondition.derivative(-1, 1, 0.0), BoundaryCondition.derivative(1, 1, 0.0)]
+        with pytest.raises(SingularSystemError, match="dense system is exactly singular"):
+            piecewise_solve_diffmat(op, ZERO, grid, bcs)
+
     @pytest.mark.parametrize("orders", [(4097,), (16, 4096, 4096), (4096, 4096, 4096)])
     def test_system_size_checked_before_allocating(self, orders):
         grid = PiecewiseGrid(np.linspace(-1.0, 1.0, len(orders) + 1), orders)
@@ -483,27 +490,18 @@ class TestInternalLayer:
         assert got["error"] <= 1e-10
 
     def _row1_system(self, monkeypatch):
-        """Grid and the (equilibrated) system the backend hands to np.linalg.solve."""
+        """Grid and the (equilibrated) system that dense_solve hands to np.linalg.solve."""
         systems = []
 
-        class Linalg:
-            def __getattr__(self, name):
-                return getattr(np.linalg, name)
+        def solve(a, b):
+            systems.append((a.copy(), b.copy()))
+            return dense_solve(a, b)
 
-            def solve(self, a, b):
-                systems.append((a.copy(), b.copy()))
-                return np.linalg.solve(a, b)
-
-        class Numpy:
-            linalg = Linalg()
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-        monkeypatch.setattr(piecewise_module, "np", Numpy())
+        monkeypatch.setattr(piecewise_module, "dense_solve", solve)
         solve_table4(32, 5.0)
         monkeypatch.undo()
         (a, b), = systems
+        _equilibrate_rows(a, b)
         return table4_grid(32, 5.0), a, b
 
     @staticmethod
@@ -556,7 +554,7 @@ class TestInternalLayer:
             a[row, 32 * i : 32 * i + 33] += diff_endpoint_row(32, 1)[::-1] / halves[i]
             a[row, 32 * i + 32 : 32 * i + 65] -= diff_endpoint_row(32, -1)[::-1] / halves[i + 1]
             b[row] = 0.0
-        piecewise_module._equilibrate_rows(a, b)
+        _equilibrate_rows(a, b)
         nodal, series = self._overshoots(grid, self._exact_solve(mp, a, b))
         assert nodal > 5e-12 and series > 2e-12
 
