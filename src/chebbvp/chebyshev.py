@@ -43,8 +43,6 @@ class ChebGrid:
     points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"grid order must be >= 1, got {self.m}")
         pts = np.asarray(self.points, dtype=float)
         if pts.shape != (self.m + 1,):
             raise ValueError("points length must be m+1")
@@ -243,7 +241,8 @@ def dense_sample(coeffs: ChebCoeffs, order: int) -> tuple[np.ndarray, np.ndarray
     Zero-padding the coefficients makes this an exact polynomial evaluation,
     so a refined clustered sampling costs one DCT.
     """
-    order = max(order, coeffs.m)
+    if order <= coeffs.m:
+        return cheb_points(coeffs.m).points, to_values(coeffs).v
     a = np.zeros(order + 1)
     a[: coeffs.m + 1] = coeffs.a
     return cheb_points(order).points, to_values(ChebCoeffs(order, a)).v

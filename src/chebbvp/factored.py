@@ -2,14 +2,20 @@
 
 An operator L = (D-a_1)...(D-a_m)(D^2+b_1 D+c_1)...(D^2+b_n D+c_n) of order
 r = m + 2n is solved by chaining the first- and second-order solvers.
-``solve_chains`` walks the factors once, in order.  At each factor, every
-chain already running gets one particular solve through it (the particular
-chain, driven by f, first), and then the factor starts its own homogeneous
-chains: one for a linear factor, normalized to T_0 = 1, and two for a
-quadratic one, normalized to T_0 = 1 and to T_1 = 1.  Chain level k holds
-the quantity with k "derivatives" relative to the level-0 solution, so level
-0 of the particular chain satisfies L u = f discretely and level 0 of each
-homogeneous chain satisfies L u = 0.
+Each factor pushes every chain already running through one particular
+solve, and then starts its own homogeneous chains: one for a linear factor,
+normalized to T_0 = 1, and two for a quadratic one, normalized to T_0 = 1
+and to T_1 = 1.  Chain level k holds the quantity with k "derivatives"
+relative to the level-0 solution, so level 0 of the particular chain
+satisfies L u = f discretely and level 0 of each homogeneous chain
+satisfies L u = 0.
+
+The homogeneous chains depend only on the operator and M, so
+``homogeneous_basis`` builds them once and keeps the last (operator, M) in
+a one-entry cache, together with each boundary condition's values on them.
+``solve_chains`` then pushes only f through the factors: with the banded
+factorizations cached too, a repeated solve on one operator costs one
+banded solve per factor.
 
 The boundary conditions are fitted last, by one fit for single and
 piecewise grids (a single grid is one interval).  Each condition is one
@@ -25,6 +31,7 @@ is why the grid only needs to resolve the boundary-fitted solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isfinite
 from typing import Callable, Sequence, Union
 
@@ -90,6 +97,35 @@ class BoundaryCondition:
         return sum(w * endpoint_row(m, self.endpoint, d) for d, w in self.weights)
 
 
+@dataclass(frozen=True, eq=False)
+class HomogeneousBasis:
+    """Homogeneous chains of one operator on one grid order.
+
+    levels[k] holds level k of homogeneous chains 1, 2, ... in the order the
+    factors start them; a chain started below level k has no entry there.
+    Neither the chains nor a condition's values on them depend on f, so
+    ``condition_values`` keeps each condition's values, keyed by endpoint
+    and weights and never by value.
+    """
+
+    levels: dict[int, tuple[ChebCoeffs, ...]]
+    _conditions: dict = field(default_factory=dict, init=False, repr=False)
+
+    def condition_values(self, bc: BoundaryCondition, row: np.ndarray) -> np.ndarray:
+        """The condition, with row = bc.row(m), on level 0 of each chain (read-only).
+
+        The entry is a pure function of its key, so concurrent writers store
+        equal arrays.
+        """
+        key = (bc.endpoint, bc.weights)
+        vals = self._conditions.get(key)
+        if vals is None:
+            vals = np.array([apply_endpoint_row(c, row) for c in self.levels[0]])
+            vals.setflags(write=False)
+            self._conditions[key] = vals
+        return vals
+
+
 @dataclass(frozen=True)
 class ChainSolution:
     """Particular and homogeneous chains of one operator on one grid.
@@ -97,12 +133,15 @@ class ChainSolution:
     levels[k] holds level k of the particular chain, then of homogeneous
     chains 1, 2, ... in the order the factors start them.  A homogeneous
     chain started below level k has no entry there: the factors above its
-    start annihilate it, so it is exactly zero at level k.
+    start annihilate it, so it is exactly zero at level k.  The homogeneous
+    entries are those of basis, shared by every solve on the operator and
+    grid order.
     """
 
     operator: OperatorFactorization
     m: int
     levels: dict[int, tuple[ChebCoeffs, ...]]
+    basis: HomogeneousBasis = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -114,29 +153,39 @@ class Solution:
     chain: ChainSolution = field(repr=False)
 
 
-def solve_chains(op: OperatorFactorization, f: ChebCoeffs) -> ChainSolution:
-    """Particular and homogeneous chains, built in one pass over the factors.
+def _factor_steps(op: OperatorFactorization):
+    """(factor, particular solver, level below it, homogeneous starts) for each factor in order.
+
+    A start (unit, forcing) is the stored forcing of minus the factor applied
+    to 1/2 (unit 0) or to T_1 (unit 1).
+    """
+    level = op.order
+    for factor in op.linear + op.quadratic:
+        if isinstance(factor, FirstOrderOp):
+            level -= 1
+            # forcing a/2, whose stored T_0 coefficient is a
+            yield factor, first_order_particular, level, ((0, (factor.a,)),)
+        else:
+            level -= 2
+            # forcings -c/2 (for 1/2) and -(b + c T_1) (for T_1), stored
+            yield factor, second_order_particular, level, ((0, (-factor.c,)), (1, (-2.0 * factor.b, -factor.c)))
+
+
+@lru_cache(maxsize=1)
+def homogeneous_basis(op: OperatorFactorization, m: int) -> HomogeneousBasis:
+    """The homogeneous chains of op on the order-m grid, built in one pass over the factors.
 
     Every chain already running is pushed through each factor by one
     particular solve under zero integral conditions.  The factor then starts
     its own homogeneous chains the roundabout way, as 1/2 + u* (or T_1 + u*)
     with u* the particular solution for minus the factor applied to 1/2 (or
     T_1).  Each start shares the factor's banded factorization with every
-    other solve through it.
+    other solve through it.  One entry is kept: a solve on the same
+    operator and order reuses it, and a solve on another replaces it.
     """
-    _check_order(op, f.m)
-    m, level = f.m, op.order
-    running = [f]
+    running: list[ChebCoeffs] = []
     levels: dict[int, tuple[ChebCoeffs, ...]] = {}
-    for factor in op.linear + op.quadratic:
-        if isinstance(factor, FirstOrderOp):
-            solve, level = first_order_particular, level - 1
-            # forcing a/2, whose stored T_0 coefficient is a
-            starts = ((0, (factor.a,)),)
-        else:
-            solve, level = second_order_particular, level - 2
-            # forcings -c/2 (for 1/2) and -(b + c T_1) (for T_1), stored
-            starts = ((0, (-factor.c,)), (1, (-2.0 * factor.b, -factor.c)))
+    for factor, solve, level, starts in _factor_steps(op):
         running = [solve(factor, c) for c in running]
         for unit, forcing in starts:
             g = np.zeros(m + 1)
@@ -145,7 +194,23 @@ def solve_chains(op: OperatorFactorization, f: ChebCoeffs) -> ChainSolution:
             a[unit] = 1.0
             running.append(ChebCoeffs(m, a))
         levels[level] = tuple(running)
-    return ChainSolution(op, m, levels)
+    return HomogeneousBasis(levels)
+
+
+def solve_chains(op: OperatorFactorization, f: ChebCoeffs) -> ChainSolution:
+    """Particular and homogeneous chains of op on the grid of f.
+
+    The homogeneous chains come from ``homogeneous_basis``; only the
+    particular chain, f pushed through each factor by one particular solve
+    under zero integral conditions, is solved here.
+    """
+    _check_order(op, f.m)
+    basis = homogeneous_basis(op, f.m)
+    part, levels = f, {}
+    for factor, solve, level, _ in _factor_steps(op):
+        part = solve(factor, part)
+        levels[level] = (part,) + basis.levels[level]
+    return ChainSolution(op, f.m, levels, basis)
 
 
 def check_boundary_conditions(bcs: list[BoundaryCondition], r: int):
@@ -177,9 +242,10 @@ def fit_constants(
     rhs = np.zeros(r * n)
     for row, bc in enumerate(bcs):
         i = 0 if bc.endpoint == -1 else n - 1
-        vals = _level_functional(chains[i], 0, _scaled_bc(bc, halves[i]).row(chains[i].m))
-        mat[row, i * r : (i + 1) * r] = vals[1:]
-        rhs[row] = bc.value - vals[0]
+        chain, scaled = chains[i], _scaled_bc(bc, halves[i])
+        cond = scaled.row(chain.m)
+        mat[row, i * r : (i + 1) * r] = chain.basis.condition_values(scaled, cond)
+        rhs[row] = bc.value - apply_endpoint_row(chain.levels[0][0], cond)
     row = r
     for i in range(n - 1):  # node between interval i and i+1
         sl, sr = 1.0, 1.0

@@ -24,9 +24,10 @@ conditions yield banded systems.  The right-hand sides are
 ``integrate_coeffs`` and ``double_integrate_coeffs``.
 
 Each banded matrix depends only on the factor and M, so its factorization
-is cached and shared by every solve through that factor: the particular
-chain and the homogeneous starts that ``factored.solve_chains`` builds from
-particular solves.
+is cached and shared by every solve through that factor: the homogeneous
+chains that ``factored.homogeneous_basis`` builds from particular solves,
+once per operator and M, and the particular chain of every right-hand
+side.
 """
 
 from __future__ import annotations

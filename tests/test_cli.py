@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from chebbvp.chebyshev import cheb_points, to_values
-from chebbvp.cli import TABLES, builtin_spec_text, main, reproduce_tables, run, sweep_cell
+from chebbvp.cli import TABLES, _clear_setup_caches, builtin_spec_text, main, reproduce_tables, run, sweep_cell
 from chebbvp.diffmat import AffineConvectionOp
-from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
+from chebbvp.factored import BoundaryCondition, OperatorFactorization, homogeneous_basis, solve_bvp
 from chebbvp.integration import FirstOrderOp
 from chebbvp.piecewise import PiecewiseGrid, overshoot
 from chebbvp.problems import (
@@ -432,6 +432,17 @@ class TestMain:
         captured = capsys.readouterr()
         assert "solve_seconds" in captured.err
         assert "solve_seconds" not in captured.out
+
+    def test_time_flag_cold_run_builds_the_homogeneous_basis(self, tmp_path):
+        path = self._spec_path(tmp_path, builtin_spec_text("table1b.spec"))
+        run(load_problem(path))
+        assert homogeneous_basis.cache_info().currsize == 1
+        _clear_setup_caches()
+        assert homogeneous_basis.cache_info().currsize == 0
+        assert main(["solve", path, "--time"]) == 0
+        # the cold run builds the basis, the warm rerun finds it
+        info = homogeneous_basis.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_solve_deterministic_stdout(self, tmp_path, capsys):
         path = self._spec_path(tmp_path, builtin_spec_text("table1d.spec"))

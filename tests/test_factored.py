@@ -1,19 +1,26 @@
 """Factored-form solver: chain examples, paper table values, cancellation."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from chebbvp.banded import SingularSystemError
+from chebbvp import factored, piecewise
+from chebbvp.banded import SingularSystemError, dense_solve
 from chebbvp.chebyshev import (
     to_coeffs,
     ChebCoeffs,
+    apply_endpoint_row,
     cheb_points,
+    endpoint_row,
     function_to_coeffs,
     to_values,
 )
 from chebbvp.factored import (
     BoundaryCondition,
     OperatorFactorization,
+    homogeneous_basis,
     solve_bvp,
     solve_chains,
 )
@@ -23,6 +30,7 @@ from chebbvp.integration import (
     first_order_residual,
     second_order_residual,
 )
+from chebbvp.piecewise import PiecewiseGrid, piecewise_solve_spectral
 
 
 def grid_error(sol, exact):
@@ -382,3 +390,139 @@ class TestSolveBvp:
         op = OperatorFactorization(linear=(FirstOrderOp(1.0),))
         with pytest.raises(ValueError, match="m is required"):
             solve_bvp(op, lambda y: np.zeros_like(y), [dirichlet(-1, 0.0)])
+
+
+def reference_boundary_rows(chains, halves, bcs):
+    """The fit's boundary rows, each condition's row applied to every level-0 chain of its end interval."""
+    n, r = len(chains), len(bcs)
+    mat, rhs = np.zeros((r, r * n)), np.zeros(r)
+    for k, bc in enumerate(bcs):
+        i = 0 if bc.endpoint == -1 else n - 1
+        row = sum(w / halves[i] ** d * endpoint_row(chains[i].m, bc.endpoint, d) for d, w in bc.weights)
+        vals = [apply_endpoint_row(c, row) for c in chains[i].levels[0]]
+        mat[k, i * r : (i + 1) * r] = vals[1:]
+        rhs[k] = bc.value - vals[0]
+    return mat, rhs
+
+
+@pytest.fixture
+def fit_systems(monkeypatch):
+    """Copies of each (matrix, rhs) the fit hands to dense_solve, which overwrites them."""
+    systems = []
+
+    def capture(mat, rhs):
+        systems.append((mat.copy(), rhs.copy()))
+        return dense_solve(mat, rhs)
+
+    monkeypatch.setattr(factored, "dense_solve", capture)
+    return systems
+
+
+def assert_solutions_equal(a, b):
+    np.testing.assert_array_equal(a.coeffs.a, b.coeffs.a)
+    np.testing.assert_array_equal(a.constants, b.constants)
+    assert a.chain.levels.keys() == b.chain.levels.keys()
+    for k, row in a.chain.levels.items():
+        assert len(row) == len(b.chain.levels[k])
+        for x, y in zip(row, b.chain.levels[k]):
+            np.testing.assert_array_equal(x.a, y.a)
+
+
+class TestHomogeneousBasisCache:
+    """The homogeneous chains and their condition values are built once per (operator, M)."""
+
+    @pytest.mark.parametrize("op", [*fourth_order_ops(30.0, 60.0), MIXED_OP], ids=["linear", "quadratic", "mixed"])
+    def test_warm_solve_equals_cold_solve(self, op):
+        rhs = lambda y: np.cos(3 * y) + y**2
+        bcs = table_1e_bcs()
+        homogeneous_basis.cache_clear()
+        cold = solve_bvp(op, rhs, bcs, m=64)
+        warm = solve_bvp(op, rhs, bcs, m=64)
+        assert homogeneous_basis.cache_info().hits == 1
+        assert warm.chain.basis is cold.chain.basis
+        assert_solutions_equal(warm, cold)
+
+    def test_conditions_differing_in_order_weight_or_endpoint(self, fit_systems):
+        # every key below differs from another in one of endpoint, order or
+        # weight; a condition read from the wrong memo entry breaks its row
+        d = BoundaryCondition.derivative
+        condition_sets = [
+            [dirichlet(-1, 0.5), dirichlet(1, -1.0), d(-1, 1, 2.0), d(1, 1, 0.0)],
+            [dirichlet(-1, 0.5), dirichlet(1, -1.0), d(-1, 2, 1.0), d(1, 2, 3.0)],
+            [dirichlet(-1, 0.5), dirichlet(1, -1.0), BoundaryCondition(-1, ((1, 2.0),), 2.0), d(1, 1, 0.0)],
+            [BoundaryCondition(-1, ((0, 1.0), (1, 0.5)), 1.0), dirichlet(1, 4.0), d(-1, 2, 0.0), d(1, 1, -2.0)],
+            [dirichlet(-1, -7.0), dirichlet(1, 1.0), d(-1, 1, 0.25), d(1, 1, 5.0)],  # the first keys, new values
+        ]
+        homogeneous_basis.cache_clear()
+        for bcs in condition_sets:
+            sol = solve_bvp(MANUFACTURED_OP, manufactured_f, bcs, m=48)
+            ref_mat, ref_rhs = reference_boundary_rows([sol.chain], [1.0], bcs)
+            mat, rhs = fit_systems[-1]
+            np.testing.assert_array_equal(mat, ref_mat)
+            np.testing.assert_array_equal(rhs, ref_rhs)
+            np.testing.assert_array_equal(sol.constants, dense_solve(ref_mat, ref_rhs))
+        assert homogeneous_basis.cache_info().misses == 1
+
+    def test_piecewise_intervals_share_one_basis(self, fit_systems, monkeypatch):
+        chains = []
+
+        def record(op, f):
+            chains.append(factored.solve_chains(op, f))
+            return chains[-1]
+
+        monkeypatch.setattr(piecewise, "solve_chains", record)
+        grid = PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (32, 32))
+        bcs = [
+            dirichlet(-1, 0.5),
+            dirichlet(1, -1.0),
+            BoundaryCondition.derivative(-1, 2, 2.0),
+            BoundaryCondition(1, ((0, 1.0), (1, 3.0)), 0.0),
+        ]
+        homogeneous_basis.cache_clear()
+        piecewise_solve_spectral(MANUFACTURED_OP, manufactured_f, grid, bcs)
+        assert chains[0].basis is chains[1].basis
+        ref_mat, ref_rhs = reference_boundary_rows(chains, grid.widths / 2.0, bcs)
+        mat, rhs = fit_systems[-1]
+        np.testing.assert_array_equal(mat[:4], ref_mat)
+        np.testing.assert_array_equal(rhs[:4], ref_rhs)
+
+    def test_cached_arrays_are_read_only_and_one_entry_is_kept(self):
+        homogeneous_basis.cache_clear()
+        first = solve_bvp(MIXED_OP, np.cos, table_1e_bcs(), m=32)
+        basis = homogeneous_basis(MIXED_OP, 32)
+        assert first.chain.basis is basis
+        for row in basis.levels.values():
+            assert all(not c.a.flags.writeable for c in row)
+        bc = table_1e_bcs()[0]
+        assert not basis.condition_values(bc, bc.row(32)).flags.writeable
+        second = solve_bvp(MIXED_OP, np.cos, table_1e_bcs(), m=40)
+        assert homogeneous_basis.cache_info().currsize == 1
+        assert second.chain.basis is not basis
+        # the evicted basis still serves the solution that holds it
+        assert_solutions_equal(solve_bvp(MIXED_OP, np.cos, table_1e_bcs(), m=32), first)
+
+    def test_concurrent_solves_match_serial_solves(self):
+        # threads race on the one cache entry and its condition memo; every
+        # result must still be the serial one
+        ops = fourth_order_ops(30.0, 60.0)
+        d = BoundaryCondition.derivative
+        bc_sets = [table_1e_bcs(), [dirichlet(-1, 1.0), dirichlet(1, 0.0), d(-1, 2, 1.0), d(1, 1, 2.0)]]
+        jobs = [(ops[k % 2], bc_sets[k // 2 % 2], k) for k in range(16)]
+
+        def solve(job):
+            op, bcs, k = job
+            return solve_bvp(op, lambda y: np.cos(k * y), bcs, m=2048)
+
+        serial = [solve(job) for job in jobs]
+        homogeneous_basis.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(solve, job) for job in jobs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(results, serial):
+            np.testing.assert_array_equal(a.coeffs.a, b.coeffs.a)
+            np.testing.assert_array_equal(a.constants, b.constants)

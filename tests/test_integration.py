@@ -12,7 +12,7 @@ from chebbvp.chebyshev import (
     function_to_coeffs,
     integral_rows,
 )
-from chebbvp.factored import OperatorFactorization, solve_chains
+from chebbvp.factored import OperatorFactorization, homogeneous_basis, solve_chains
 from chebbvp.integration import (
     FirstOrderOp,
     SecondOrderOp,
@@ -191,14 +191,22 @@ class TestProperties:
     def test_factorization_shared_between_particular_and_homogeneous(self):
         _first_order_factorization.cache_clear()
         _second_order_factorization.cache_clear()
+        homogeneous_basis.cache_clear()
         op = OperatorFactorization(
             linear=(FirstOrderOp(7.0), FirstOrderOp(-3.0)), quadratic=(SecondOrderOp(1.0, 2.0),)
         )
-        f = ChebCoeffs(16, np.random.default_rng(0).standard_normal(17))
-        solve_chains(op, f)
+        rng = np.random.default_rng(0)
+        solve_chains(op, ChebCoeffs(16, rng.standard_normal(17)))
         first = _first_order_factorization.cache_info()
         second = _second_order_factorization.cache_info()
         # one miss per factor; every other solve through the factor is a hit:
         # 1 + 1 and 2 + 1 solves through the linear factors, 3 + 2 through the quadratic
         assert (first.misses, second.misses) == (2, 1)
         assert (first.hits, second.hits) == (3, 4)
+        # a second right-hand side reuses the homogeneous chains: only the
+        # particular chain passes through each factor again
+        solve_chains(op, ChebCoeffs(16, rng.standard_normal(17)))
+        first2 = _first_order_factorization.cache_info()
+        second2 = _second_order_factorization.cache_info()
+        assert (first2.misses, second2.misses) == (2, 1)
+        assert (first2.hits - first.hits, second2.hits - second.hits) == (2, 1)
