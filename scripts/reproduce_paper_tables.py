@@ -4,9 +4,11 @@
 Writes table CSVs and the spectrum of fig2.spec's coefficient system to out/
 (or a directory given as the first argument).  Equivalent to running
 `chebbvp tables <id>` for each table plus `chebbvp diag` on fig2.spec.
+The last line of stdout is the process's peak resident memory.
 """
 
 import pathlib
+import resource
 import sys
 import time
 
@@ -30,6 +32,8 @@ def main():
     (outdir / "spectrum_fig2.csv").write_text(spectrum_csv(report))
     print(f"spectrum (fig2.spec) -> {outdir/'spectrum_fig2.csv'} "
           f"({time.perf_counter() - t0:.1f}s); condition {report.condition:.3g}")
+    unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes there, KiB on Linux
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit:.0f} MB")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ partial pivoting via ``dgbtrf``/``dgbtrs``; pivoting widens the band by kl
 superdiagonals, which the factorization allocates.  Every dense system, the
 small boundary and interface fit as well as the collocation backend's, goes
 through ``dense_solve``: power-of-two row equilibration, then LAPACK's LU
-with partial pivoting through ``np.linalg.solve``.
+with partial pivoting (``dgetrf``/``dgetrs``), which overwrites a
+Fortran-ordered system with its factors instead of copying it.
 """
 
 from __future__ import annotations
@@ -123,10 +124,15 @@ def dense_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Each row is scaled by a power of two (row equilibration, Skeel 1980),
     which leaves the exact solution unchanged and keeps partial pivoting
     from losing digits to raw row scales that span many orders of
-    magnitude.  Working in place, no copy of a large system is made here.
+    magnitude.  A Fortran-ordered a is then overwritten by its LU factors,
+    so no copy of a large system is made; a C-ordered a is factored in a
+    Fortran-ordered copy and gives the same x.
     """
     _equilibrate_rows(a, rhs)
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("dense system is exactly singular") from exc
+    lu, ipiv, info = lapack.dgetrf(a, overwrite_a=True)
+    if info > 0:
+        raise SingularSystemError("dense system is exactly singular", column=info - 1)
+    x, info = lapack.dgetrs(lu, ipiv, rhs)
+    if info != 0:
+        raise ValueError(f"dgetrs failed with info={info}")
+    return x

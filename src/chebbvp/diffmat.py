@@ -72,6 +72,9 @@ class AffineConvectionOp:
         return 2
 
 
+_CHUNK = 64  # rows of the operator block built at a time
+
+
 def operator_block(
     op: AffineConvectionOp, m: int, half: float, y_global: np.ndarray, out: np.ndarray
 ) -> None:
@@ -79,28 +82,33 @@ def operator_block(
 
     h is the interval's half-width, the convection is sampled at its global
     points y_global, and out is any (m+1) x (m+1) view (rows and columns in
-    local order, descending from y = +1).  One temporary of the block's size
-    holds D; the factors c_k (-1)^k are powers of two, so D_kj is the
-    correctly rounded quotient and its rows are bitwise ``diff_endpoint_row``.
+    local order, descending from y = +1).  The block is built _CHUNK rows at
+    a time, so its temporaries hold a few chunks and never the block; the
+    factors c_k (-1)^k are powers of two, so D_kj is the correctly rounded
+    quotient and its rows are bitwise ``diff_endpoint_row``.
     """
     y = cheb_points(m).points
     s = _signed_weights(m)
-    d = np.subtract.outer(y, y)
-    np.fill_diagonal(d, 1.0)
-    np.divide(1.0, d, out=d)
-    np.fill_diagonal(d, 0.0)
-    d *= s[:, None]
-    d /= s[None, :]
-    np.fill_diagonal(d, -d.sum(axis=1))
-    # out = 1/(y_k - y_j) off the diagonal, then 2 D_kj (D_kk - 1/(y_k - y_j))
-    np.divide(d, s[:, None], out=out)
-    out *= s[None, :]
-    np.subtract(d.diagonal()[:, None], out, out=out)
-    out *= d
-    out *= 2.0
-    np.fill_diagonal(out, 0.0)
-    np.fill_diagonal(out, -out.sum(axis=1))
-    out *= op.diff2 / (half * half)
-    d *= ((op.conv_slope * np.asarray(y_global) + op.conv_const) / half)[:, None]
-    out += d
-    out[np.diag_indices(m + 1)] += op.react
+    p = op.diff2 / (half * half)
+    conv = (op.conv_slope * np.asarray(y_global) + op.conv_const) / half
+    for lo in range(0, m + 1, _CHUNK):
+        rows = slice(lo, min(lo + _CHUNK, m + 1))
+        diag = (np.arange(rows.stop - lo), np.arange(lo, rows.stop))
+        a = np.subtract.outer(y[rows], y)
+        a[diag] = 1.0
+        np.divide(1.0, a, out=a)
+        a[diag] = 0.0
+        d = a * s[rows, None]
+        d /= s
+        d[diag] = -d.sum(axis=1)
+        # a becomes the D^2 rows: 2 D_kj (D_kk - 1/(y_k - y_j)), diagonal the negated row sum
+        np.subtract(d[diag][:, None], a, out=a)
+        a *= d
+        a *= 2.0
+        a[diag] = 0.0
+        a[diag] = -a.sum(axis=1)
+        a *= p
+        d *= conv[rows, None]
+        a += d
+        a[diag] += op.react
+        out[rows] = a

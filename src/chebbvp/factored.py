@@ -238,7 +238,7 @@ def fit_constants(
     """
     n, r = len(chains), chains[0].operator.order
     check_boundary_conditions(bcs, r)
-    mat = np.zeros((r * n, r * n))
+    mat = np.zeros((r * n, r * n), order="F")
     rhs = np.zeros(r * n)
     for row, bc in enumerate(bcs):
         i = 0 if bc.endpoint == -1 else n - 1
@@ -263,7 +263,8 @@ def fit_constants(
     try:
         constants = dense_solve(mat, rhs)
     except SingularSystemError as exc:
-        raise SingularSystemError("boundary conditions do not determine a unique solution on this grid") from exc
+        msg = "boundary conditions do not determine a unique solution on this grid"
+        raise SingularSystemError(msg, column=exc.column) from exc
     return constants.reshape(n, r)
 
 

@@ -62,9 +62,8 @@ from .factored import (
 from .integration import FirstOrderOp, SecondOrderOp
 
 # The dense collocation system: every interval m <= 4096 and at most 8193
-# unknowns, two full intervals, so the system and the working copy that
-# np.linalg.solve makes of it stay near 1.1 GB.  Both are checked before it
-# is allocated.
+# unknowns, two full intervals, so the system, which its LU overwrites,
+# stays near 540 MB.  Both are checked before it is allocated.
 _MAX_DENSE_ORDER = 4096
 _MAX_UNKNOWNS = 2 * _MAX_DENSE_ORDER + 1
 
@@ -228,7 +227,7 @@ def piecewise_solve_diffmat(
         raise ValueError(f"collocation system limited to {limit}, got m = {max(orders)} and {size} unknowns")
     values = [_interval_values(f, grid, i) for i in range(n)]
 
-    mat = np.zeros((size, size))
+    mat = np.zeros((size, size), order="F")  # factored in place by dense_solve
     rhs_vec = np.zeros(size)
     ends = []
     for i, (m, b) in enumerate(zip(orders, blocks)):

@@ -1,6 +1,10 @@
 """Banded LU and the LAPACK dense solve against a Python elimination oracle."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,8 +136,9 @@ class TestDenseSolve:
         np.testing.assert_allclose(dense_solve(a, np.array([3.0, 1.0])), [2.0, 1.0])
 
     def test_singular_reported(self):
-        with pytest.raises(SingularSystemError, match="exactly singular"):
+        with pytest.raises(SingularSystemError, match="exactly singular") as exc:
             dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+        assert exc.value.column == 1  # LAPACK's zero pivot, where the elimination oracle reports it
 
     @given(st.integers(0, 500))
     @settings(max_examples=30)
@@ -169,17 +174,60 @@ class TestDenseSolve:
         np.testing.assert_allclose(x, [1.0, 2.0])
 
     def test_copies_nothing(self):
+        # a Fortran-ordered system, as both callers allocate it, is factored
+        # where it lies; a C-ordered one is factored in a copy to the same bits
         n = 1000
         rng = np.random.default_rng(11)
         a = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
         rhs = rng.standard_normal(n)
+        a_f, rhs_f = np.asfortranarray(a), rhs.copy()
         tracemalloc.start()
         try:
-            dense_solve(a, rhs)
+            x = dense_solve(a_f, rhs_f)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * 8 * n * n
+        np.testing.assert_array_equal(dense_solve(a, rhs), x)
+
+    def test_resident_memory_grows_by_no_copy(self):
+        # tracemalloc cannot see what LAPACK allocates with malloc, so the
+        # process's peak resident size is read around the solve in a fresh
+        # interpreter; the system is 8 n^2 bytes
+        n = 2000
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", RSS_SCRIPT, str(n)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) < 0.1 * 8 * n * n
+
+
+RSS_SCRIPT = """
+import resource
+import sys
+
+import numpy as np
+from scipy.linalg import lapack
+
+from chebbvp.banded import dense_solve
+
+n = int(sys.argv[1])
+# OpenBLAS sizes its packing buffers by n and keeps them for the process:
+# fault them in with an LU outside dense_solve first
+lapack.dgetrf(np.eye(n, order="F"), overwrite_a=True)
+a = np.empty((n, n), order="F")
+rng = np.random.default_rng(13)
+rng.standard_normal(out=a)
+a[np.diag_indices(n)] += np.sqrt(n)
+rhs = rng.standard_normal(n)
+unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB on Linux
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+dense_solve(a, rhs)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * unit)
+"""
 
 
 class TestEquilibrateRows:

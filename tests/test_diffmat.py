@@ -35,6 +35,32 @@ def textbook_d(m):
     return d
 
 
+def whole_block(op, m, half, y_global):
+    """The operator block built all at once: one (m+1) x (m+1) temporary holds D."""
+    y = cheb_points(m).points
+    s = (-1.0) ** np.arange(m + 1)
+    s[[0, m]] *= 2.0
+    d = np.subtract.outer(y, y)
+    np.fill_diagonal(d, 1.0)
+    np.divide(1.0, d, out=d)
+    np.fill_diagonal(d, 0.0)
+    d *= s[:, None]
+    d /= s[None, :]
+    np.fill_diagonal(d, -d.sum(axis=1))
+    out = d / s[:, None]
+    out *= s[None, :]
+    np.subtract(d.diagonal()[:, None], out, out=out)
+    out *= d
+    out *= 2.0
+    np.fill_diagonal(out, 0.0)
+    np.fill_diagonal(out, -out.sum(axis=1))
+    out *= op.diff2 / (half * half)
+    d *= ((op.conv_slope * y_global + op.conv_const) / half)[:, None]
+    out += d
+    out[np.diag_indices(m + 1)] += op.react
+    return out
+
+
 def t_second_derivative(k, y):
     return np.polynomial.chebyshev.Chebyshev.basis(k).deriv(2)(y)
 
@@ -116,7 +142,7 @@ class TestSecondDerivative:
 class TestEndpointRows:
     @pytest.mark.parametrize("endpoint", [1, -1])
     def test_first_derivative_row_matches_matrix(self, endpoint):
-        for m in (2, 20, 333):
+        for m in (2, 20, 63, 64, 65, 333, 1024):  # 64-row chunk edges included
             row = diff_endpoint_row(m, endpoint)
             np.testing.assert_array_equal(row, block(DERIVATIVE, m)[0 if endpoint == 1 else m])
 
@@ -158,6 +184,14 @@ class TestOperatorMatrix:
         op = AffineConvectionOp(1e-3, 0.7, 0.2, 0.0)
         diff = block(AffineConvectionOp(1e-3, 0.7, 0.2, -3.0), 12) - block(op, 12)
         np.testing.assert_allclose(diff, -3.0 * np.eye(13), atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 63, 64, 65, 130, 1024])
+    def test_chunked_rows_match_whole_block(self, m):
+        # chunk edges at 64-row multiples: the same elementwise operations and row sums
+        op = AffineConvectionOp(1e-3, 0.7, 0.2, -3.0)
+        y = 0.3 + 0.25 * cheb_points(m).points
+        np.testing.assert_array_equal(block(op, m, 0.25, y), whole_block(op, m, 0.25, y))
+        np.testing.assert_array_equal(block(DERIVATIVE, m), whole_block(DERIVATIVE, m, 1.0, cheb_points(m).points))
 
     @pytest.mark.parametrize("m", [8, 300])
     def test_strided_view_gets_the_same_bits(self, m):

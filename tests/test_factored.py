@@ -354,8 +354,9 @@ class TestSolveBvp:
     def test_degenerate_bcs_reported(self):
         op = OperatorFactorization(linear=(FirstOrderOp(0.0), FirstOrderOp(0.0)))
         bcs = [dirichlet(1, 0.0), dirichlet(1, 0.0)]
-        with pytest.raises(SingularSystemError, match="unique"):
+        with pytest.raises(SingularSystemError, match="unique") as exc:
             solve_bvp(op, lambda y: np.zeros_like(y), bcs, m=16)
+        assert exc.value.column == 1  # two equal rows leave the second constant without a pivot
 
     def test_minimum_grid_order(self):
         op = OperatorFactorization(linear=(FirstOrderOp(1.0),))

@@ -427,7 +427,7 @@ class TestDiffmatBackend:
         assert peak < 2**20
 
     def test_peak_memory_two_blocks(self):
-        # the system and one temporary of the block's size: no product or copies of D
+        # the system, factored in place, and O(64 m) temporaries: no block-sized D or copy
         m = 2048
         grid = PiecewiseGrid(np.array([-1.0, 1.0]), (m,))
         tracemalloc.start()
@@ -436,7 +436,7 @@ class TestDiffmatBackend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * (m + 1) ** 2
+        assert peak <= 1.2 * 8 * (m + 1) ** 2
 
     def test_rejects_higher_order(self):
         op = OperatorFactorization(
@@ -490,7 +490,7 @@ class TestInternalLayer:
         assert got["error"] <= 1e-10
 
     def _row1_system(self, monkeypatch):
-        """Grid and the (equilibrated) system that dense_solve hands to np.linalg.solve."""
+        """Grid and the (equilibrated) system that dense_solve hands to LAPACK's LU."""
         systems = []
 
         def solve(a, b):
