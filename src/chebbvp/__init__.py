@@ -39,7 +39,6 @@ from .diagnostics import (
 from .diffmat import AffineConvectionOp, diff_endpoint_row
 from .factored import (
     BoundaryCondition,
-    ChainSolution,
     OperatorFactorization,
     Solution,
     fit_boundary,
@@ -59,7 +58,6 @@ from .piecewise import (
     overshoot,
     piecewise_solve_diffmat,
     piecewise_solve_spectral,
-    rescale_operator,
     sample_piecewise,
 )
 from .problems import ProblemSpec, exact_function, load_problem, parse_problem
@@ -71,7 +69,6 @@ __all__ = [
     "BandedFactorization",
     "BandedMatrix",
     "BoundaryCondition",
-    "ChainSolution",
     "ChebCoeffs",
     "ChebGrid",
     "FirstOrderOp",
@@ -105,7 +102,6 @@ __all__ = [
     "parse_problem",
     "piecewise_solve_diffmat",
     "piecewise_solve_spectral",
-    "rescale_operator",
     "sample_piecewise",
     "second_order_particular",
     "singular_spectrum",

@@ -178,7 +178,7 @@ def endpoint_row(m: int, endpoint: int, order: int) -> np.ndarray:
 
 
 def apply_endpoint_row(coeffs: ChebCoeffs, row: np.ndarray) -> float:
-    """The endpoint functional of an endpoint_row (or a combination of them).
+    """The endpoint functional of an endpoint_row: u^(order)(endpoint).
 
     Summed as a[0] w[0] + sum(a[1:] w[1:]) rather than a dot product, which
     keeps order-0 rows bitwise equal to the plain endpoint sums.

@@ -12,20 +12,20 @@ satisfies L u = 0.
 
 The homogeneous chains depend only on the operator and M, so
 ``homogeneous_basis`` builds them once and keeps the last (operator, M) in
-a one-entry cache, together with each boundary condition's values on them.
-``solve_chains`` then pushes only f through the factors: with the banded
-factorizations cached too, a repeated solve on one operator costs one
-banded solve per factor.
+a one-entry cache, together with their endpoint reads.  ``solve_chains``
+then pushes only f through the factors: with the banded factorizations
+cached too, a repeated solve on one operator costs one banded solve per
+factor.
 
 The boundary conditions are fitted last, by one fit for single and
-piecewise grids (a single grid is one interval).  Each condition is one
-linear functional of the Chebyshev coefficients, a weighted sum of the
-closed-form endpoint derivative rows T_n^(d)(+-1), applied to every chain of
-its end interval; interfaces add r rows each, and one dense system,
+piecewise grids (a single grid is one interval).  Every row, boundary and
+interface alike, combines order-0/1 endpoint reads of the chain levels; the
+factors reduce u^(d), d >= 2, to such reads, so no row weighs the chains'
+top coefficients by more than T_n'(+-1) = +-n^2.  One dense system,
 row-equilibrated and solved by LAPACK (``banded.dense_solve``), determines
-the combination constants.  The badly under-resolved pieces of
-the particular and homogeneous solutions cancel in this combination, which
-is why the grid only needs to resolve the boundary-fitted solution.
+the combination constants.  The badly under-resolved pieces of the
+particular and homogeneous solutions cancel in this combination, which is
+why the grid only needs to resolve the boundary-fitted solution.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class BoundaryCondition:
     def max_order(self) -> int:
         return max(d for d, _ in self.weights)
 
-    def row(self, m: int) -> np.ndarray:
-        """Coefficient-space row of the condition on an order-m series."""
-        return sum(w * endpoint_row(m, self.endpoint, d) for d, w in self.weights)
-
 
 @dataclass(frozen=True, eq=False)
 class HomogeneousBasis:
@@ -103,26 +99,25 @@ class HomogeneousBasis:
 
     levels[k] holds level k of homogeneous chains 1, 2, ... in the order the
     factors start them; a chain started below level k has no entry there.
-    Neither the chains nor a condition's values on them depend on f, so
-    ``condition_values`` keeps each condition's values, keyed by endpoint
-    and weights and never by value.
+    Neither the chains nor their endpoint reads depend on f, so ``read``
+    keeps each read, keyed by level, endpoint and order.
     """
 
     levels: dict[int, tuple[ChebCoeffs, ...]]
-    _conditions: dict = field(default_factory=dict, init=False, repr=False)
+    _reads: dict = field(default_factory=dict, init=False, repr=False)
 
-    def condition_values(self, bc: BoundaryCondition, row: np.ndarray) -> np.ndarray:
-        """The condition, with row = bc.row(m), on level 0 of each chain (read-only).
+    def read(self, level: int, endpoint: int, order: int, row: np.ndarray) -> np.ndarray:
+        """row = endpoint_row(m, endpoint, order) on a level of every chain, zero where none (read-only).
 
-        The entry is a pure function of its key, so concurrent writers store
-        equal arrays.
+        The entry is a pure function of its key, so concurrent writers store equal arrays.
         """
-        key = (bc.endpoint, bc.weights)
-        vals = self._conditions.get(key)
+        key = (level, endpoint, order)
+        vals = self._reads.get(key)
         if vals is None:
-            vals = np.array([apply_endpoint_row(c, row) for c in self.levels[0]])
+            vals = np.zeros(len(self.levels[0]))
+            vals[: len(self.levels[level])] = [apply_endpoint_row(c, row) for c in self.levels[level]]
             vals.setflags(write=False)
-            self._conditions[key] = vals
+            self._reads[key] = vals
         return vals
 
 
@@ -242,18 +237,18 @@ def fit_constants(
     rhs = np.zeros(r * n)
     for row, bc in enumerate(bcs):
         i = 0 if bc.endpoint == -1 else n - 1
-        chain, scaled = chains[i], _scaled_bc(bc, halves[i])
-        cond = scaled.row(chain.m)
-        mat[row, i * r : (i + 1) * r] = chain.basis.condition_values(scaled, cond)
-        rhs[row] = bc.value - apply_endpoint_row(chain.levels[0][0], cond)
+        reads = _derivative_reads(chains[i].operator, bc.weights, halves[i])
+        vals = sum(w * _read(chains[i], level, bc.endpoint, order) for (level, order), w in reads.items())
+        mat[row, i * r : (i + 1) * r] = vals[1:]
+        rhs[row] = bc.value - vals[0]
     row = r
     for i in range(n - 1):  # node between interval i and i+1
         sl, sr = 1.0, 1.0
         for j in range(r):
             # order j reads level j, or the derivative of level j - 1 where a quadratic skips it
             level, order = (j, 0) if j in chains[i].levels else (j - 1, 1)
-            left = sl * _level_functional(chains[i], level, endpoint_row(chains[i].m, 1, order))
-            right = sr * _level_functional(chains[i + 1], level, endpoint_row(chains[i + 1].m, -1, order))
+            left = sl * _read(chains[i], level, 1, order)
+            right = sr * _read(chains[i + 1], level, -1, order)
             mat[row, i * r : (i + 1) * r] = left[1:]
             mat[row, (i + 1) * r : (i + 2) * r] = -right[1:]
             rhs[row] = right[0] - left[0]
@@ -268,21 +263,32 @@ def fit_constants(
     return constants.reshape(n, r)
 
 
-def _scaled_bc(bc: BoundaryCondition, half_width: float) -> BoundaryCondition:
-    """Fold the (2/w)^d chain-rule factors of a global bc into local weights."""
-    weights = tuple((d, w / half_width**d) for d, w in bc.weights)
-    return BoundaryCondition(bc.endpoint, weights, bc.value)
+def _derivative_reads(op: OperatorFactorization, weights, half_width: float) -> dict[tuple[int, int], float]:
+    """sum_d w_d u^(d) on an interval of half_width as {(level, order): weight}, order <= 1.
 
-
-def _level_functional(chain: ChainSolution, level: int, row: np.ndarray) -> np.ndarray:
-    """An endpoint row applied to one level of every chain, particular first.
-
-    Chains that start below the level read are annihilated by the factors
-    above their start, so their entries are exactly zero.
+    The factor above level k reduces D^j level_k, j >= 2: D - a by D level_k = level_{k+1} + a level_k,
+    and D^2 + b D + c by D^2 level_k = level_{k+2} - b D level_k - c level_k.  Zero weights are not read.
     """
-    out = np.zeros(chain.operator.order + 1)
-    for h, c in enumerate(chain.levels[level]):
-        out[h] = apply_endpoint_row(c, row)
+    above = {level: factor for factor, _, level, _ in _factor_steps(op)}
+    reads: dict[tuple[int, int], float] = {}
+    todo = [(0, d, w / half_width**d) for d, w in weights]  # (level k, order j, weight) of D^j level_k
+    while todo:
+        k, j, w = todo.pop()
+        if j <= 1:
+            reads[k, j] = reads.get((k, j), 0.0) + w
+        elif isinstance(f := above[k], FirstOrderOp):
+            todo += [(k + 1, j - 1, w), (k, j - 1, w * f.a)]
+        else:
+            todo += [(k + 2, j - 2, w), (k, j - 1, -w * f.b), (k, j - 2, -w * f.c)]
+    return {key: w for key, w in reads.items() if w != 0.0}
+
+
+def _read(chain: ChainSolution, level: int, endpoint: int, order: int) -> np.ndarray:
+    """Value (order 0) or derivative (order 1) at endpoint of one level of every chain, particular first."""
+    row = endpoint_row(chain.m, endpoint, order)
+    out = np.empty(len(chain.levels[0]))
+    out[0] = apply_endpoint_row(chain.levels[level][0], row)
+    out[1:] = chain.basis.read(level, endpoint, order, row)
     return out
 
 

@@ -7,13 +7,10 @@ mapped to [-1, 1], the operator is rescaled (a -> a w/2 for linear factors,
 homogeneous chains per interval.  ``factored.fit_constants``, the fit of a
 single grid, solves for the r*n constants with r rows per interface added.
 
-Interface rows prefer the chain intermediates: the order-j condition
-matches (2/w_i)^j times the level-j quantity at the shared node, which for
-an all-linear factorization at r = 2 is exactly the ((D - w b/2) u_i)(1)/w_i
-derivative-continuity condition.  Inside a quadratic block only even levels
-exist, so the odd orders there match the series endpoint derivative of the
-level below instead; both functionals are linear in the coefficients and
-the two reduce to the same continuity requirements.
+Interface rows read the chain levels as the boundary rows do: the order-j
+row matches (2/w_i)^j times level j at the shared node, or, inside a
+quadratic block where only even levels exist, the derivative of level
+j - 1.  Together the r rows amount to continuity of u, ..., u^(r-1).
 
 A second backend collocates on the same grids.  Its unknowns are the grid
 values, ascending in y, with one value per shared node; each interval's

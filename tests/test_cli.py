@@ -14,7 +14,7 @@ from chebbvp.cli import TABLES, _clear_setup_caches, builtin_spec_text, main, re
 from chebbvp.diffmat import AffineConvectionOp
 from chebbvp.factored import BoundaryCondition, OperatorFactorization, homogeneous_basis, solve_bvp
 from chebbvp.integration import FirstOrderOp
-from chebbvp.piecewise import PiecewiseGrid, overshoot
+from chebbvp.piecewise import PiecewiseGrid, overshoot, sample_piecewise
 from chebbvp.problems import (
     ProblemFormatError,
     exact_function,
@@ -211,6 +211,22 @@ class TestRun:
         else:
             pts, vals = cheb_points(spec.grid).points, to_values(direct.coeffs).v
             assert report.error == float(np.max(np.abs(vals - spec.exact(pts))))
+
+    @pytest.mark.parametrize(
+        "factors",
+        ["quadratic 0 -1\nquadratic 0 -4", "linear 1\nlinear -1\nlinear 2\nlinear -2"],
+        ids=["quadratic", "linear"],
+    )
+    def test_third_derivative_conditions_at_large_m(self, factors):
+        # (D^2 - 1)(D^2 - 4) u = f for u = sin(pi y) + y, with u'' = 0 and
+        # u''' = pi^3 at both ends, solved as one interval at m = 65536
+        k, pi3 = np.pi**4 + 5 * np.pi**2 + 4, np.pi**3
+        spec = parse_problem(
+            f"[operator]\n{factors}\n[rhs]\nexpr = {k!r}*sinpi + 4*y\n[grid]\nm = 65536\n[bc]\n"
+            f"at=-1 d2=1 value=0\nat=+1 d2=1 value=0\nat=-1 d3=1 value={pi3!r}\nat=+1 d3=1 value={pi3!r}\n"
+        )
+        pts, vals = sample_piecewise(run(spec).solution)
+        assert np.max(np.abs(vals - (np.sin(np.pi * pts) + pts))) <= 1e-13
 
     def test_affine_operator_requires_diffmat(self):
         spec = parse_problem(builtin_spec_text("table4.spec"))

@@ -230,6 +230,7 @@ class TestTable1e:
 MANUFACTURED_OP = OperatorFactorization(quadratic=(SecondOrderOp(0.0, -1.0), SecondOrderOp(0.0, -4.0)))
 MANUFACTURED = {  # derivative order -> u^(order)
     0: lambda y: np.sin(np.pi * y) + y**3,
+    1: lambda y: np.pi * np.cos(np.pi * y) + 3 * y**2,
     2: lambda y: -np.pi**2 * np.sin(np.pi * y) + 6 * y,
     3: lambda y: -np.pi**3 * np.cos(np.pi * y) + 6,
 }
@@ -240,7 +241,7 @@ def manufactured_f(y):
 
 
 class TestHighOrderConditions:
-    """u'' and u''' conditions are read from the coefficients, at any M."""
+    """u'' and u''' conditions are read from order-0/1 endpoint values of the chain levels, at any M."""
 
     @pytest.mark.parametrize("m", [8192, 65536])
     @pytest.mark.parametrize("factorization", ["linear", "quadratic"])
@@ -259,19 +260,22 @@ class TestHighOrderConditions:
         sol = solve_bvp(op, lambda y: np.full_like(y, a * a * b * b), bcs, m=m)
         assert grid_error(sol, table_1e_exact(a, b)) <= 1e-9
 
-    # The u''' row weights T_n'''(+-1) = n^2 (n^2 - 1)(n^2 - 4)/15 grow like
-    # M^6, so rounding in the chains' highest coefficients reaches the fitted
-    # constants.  At M = 8192 this measured 3.9e-11 for (u, u''') and 2.0e-9
-    # for (u'', u'''); the bounds are ten times that.
-    @pytest.mark.parametrize("low_order, bound", [(0, 4e-10), (2, 2e-8)])
-    def test_third_derivative_conditions_at_large_m(self, low_order, bound):
+    # The factors reduce u''' to order-0/1 reads of the chain levels, whose
+    # endpoint weights grow like M^2 at most, so rounding in the chains'
+    # highest coefficients stays at the fit's rounding level (2.2e-14 at
+    # M = 65536).  Read through T_n'''(+-1) ~ n^6/15 it reached 1.3e-7 there.
+    @pytest.mark.parametrize("m", [8192, 65536])
+    @pytest.mark.parametrize("factorization", ["linear", "quadratic"])
+    @pytest.mark.parametrize("low_order", [0, 1, 2])
+    def test_third_derivative_conditions_at_large_m(self, low_order, factorization, m):
         bcs = [
             BoundaryCondition.derivative(end, order, MANUFACTURED[order](end))
             for order in (low_order, 3)
             for end in (-1, 1)
         ]
-        sol = solve_bvp(MANUFACTURED_OP, manufactured_f, bcs, m=8192)
-        assert grid_error(sol, MANUFACTURED[0]) <= bound
+        op = fourth_order_ops(1.0, 2.0)[factorization == "quadratic"]
+        sol = solve_bvp(op, manufactured_f, bcs, m=m)
+        assert grid_error(sol, MANUFACTURED[0]) <= 1e-13
 
 
 class TestCancellation:
@@ -394,7 +398,7 @@ class TestSolveBvp:
 
 
 def reference_boundary_rows(chains, halves, bcs):
-    """The fit's boundary rows, each condition's row applied to every level-0 chain of its end interval."""
+    """The fit's boundary rows from the closed-form rows T_n^(d)(+-1) on level 0 of each end interval."""
     n, r = len(chains), len(bcs)
     mat, rhs = np.zeros((r, r * n)), np.zeros(r)
     for k, bc in enumerate(bcs):
@@ -419,6 +423,24 @@ def fit_systems(monkeypatch):
     return systems
 
 
+def assert_boundary_rows_match(mat, rhs, chains, halves, bcs):
+    """Rows of one weight-1 u or u' condition match the closed form bitwise, the rest to rounding.
+
+    Order-2 and weighted conditions are combinations of level reads, which
+    round differently from the combined closed-form row.
+    """
+    ref_mat, ref_rhs = reference_boundary_rows(chains, halves, bcs)
+    for k, bc in enumerate(bcs):
+        (d, w), h = bc.weights[0], halves[0 if bc.endpoint == -1 else len(chains) - 1]
+        if len(bc.weights) == 1 and d <= 1 and w / h**d == 1.0:
+            np.testing.assert_array_equal(mat[k], ref_mat[k])
+            assert rhs[k] == ref_rhs[k]
+        else:
+            np.testing.assert_allclose(mat[k], ref_mat[k], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(rhs[k], ref_rhs[k], rtol=1e-13, atol=0)
+    return ref_mat, ref_rhs
+
+
 def assert_solutions_equal(a, b):
     np.testing.assert_array_equal(a.coeffs.a, b.coeffs.a)
     np.testing.assert_array_equal(a.constants, b.constants)
@@ -430,7 +452,7 @@ def assert_solutions_equal(a, b):
 
 
 class TestHomogeneousBasisCache:
-    """The homogeneous chains and their condition values are built once per (operator, M)."""
+    """The homogeneous chains and their endpoint reads are built once per (operator, M)."""
 
     @pytest.mark.parametrize("op", [*fourth_order_ops(30.0, 60.0), MIXED_OP], ids=["linear", "quadratic", "mixed"])
     def test_warm_solve_equals_cold_solve(self, op):
@@ -444,8 +466,9 @@ class TestHomogeneousBasisCache:
         assert_solutions_equal(warm, cold)
 
     def test_conditions_differing_in_order_weight_or_endpoint(self, fit_systems):
-        # every key below differs from another in one of endpoint, order or
-        # weight; a condition read from the wrong memo entry breaks its row
+        # every condition below differs from another in one of endpoint, order
+        # or weight, and the u'' rows read level 2 beside level 0; a value
+        # taken from the wrong read memo entry breaks its row
         d = BoundaryCondition.derivative
         condition_sets = [
             [dirichlet(-1, 0.5), dirichlet(1, -1.0), d(-1, 1, 2.0), d(1, 1, 0.0)],
@@ -457,11 +480,12 @@ class TestHomogeneousBasisCache:
         homogeneous_basis.cache_clear()
         for bcs in condition_sets:
             sol = solve_bvp(MANUFACTURED_OP, manufactured_f, bcs, m=48)
-            ref_mat, ref_rhs = reference_boundary_rows([sol.chain], [1.0], bcs)
             mat, rhs = fit_systems[-1]
-            np.testing.assert_array_equal(mat, ref_mat)
-            np.testing.assert_array_equal(rhs, ref_rhs)
-            np.testing.assert_array_equal(sol.constants, dense_solve(ref_mat, ref_rhs))
+            ref_mat, ref_rhs = assert_boundary_rows_match(mat, rhs, [sol.chain], [1.0], bcs)
+            if np.array_equal(mat, ref_mat) and np.array_equal(rhs, ref_rhs):
+                np.testing.assert_array_equal(sol.constants, dense_solve(ref_mat, ref_rhs))
+            else:
+                np.testing.assert_allclose(sol.constants, dense_solve(ref_mat, ref_rhs), rtol=1e-12)
         assert homogeneous_basis.cache_info().misses == 1
 
     def test_piecewise_intervals_share_one_basis(self, fit_systems, monkeypatch):
@@ -472,20 +496,20 @@ class TestHomogeneousBasisCache:
             return chains[-1]
 
         monkeypatch.setattr(piecewise, "solve_chains", record)
-        grid = PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (32, 32))
         bcs = [
             dirichlet(-1, 0.5),
             dirichlet(1, -1.0),
             BoundaryCondition.derivative(-1, 2, 2.0),
             BoundaryCondition(1, ((0, 1.0), (1, 3.0)), 0.0),
         ]
-        homogeneous_basis.cache_clear()
-        piecewise_solve_spectral(MANUFACTURED_OP, manufactured_f, grid, bcs)
-        assert chains[0].basis is chains[1].basis
-        ref_mat, ref_rhs = reference_boundary_rows(chains, grid.widths / 2.0, bcs)
-        mat, rhs = fit_systems[-1]
-        np.testing.assert_array_equal(mat[:4], ref_mat)
-        np.testing.assert_array_equal(rhs[:4], ref_rhs)
+        for end in (1.0, 2.0):  # half-widths 1/2 and 1
+            grid = PiecewiseGrid(np.array([-end, 0.0, end]), (32, 32))
+            chains.clear()
+            homogeneous_basis.cache_clear()
+            piecewise_solve_spectral(MANUFACTURED_OP, manufactured_f, grid, bcs)
+            assert chains[0].basis is chains[1].basis
+            mat, rhs = fit_systems[-1]
+            assert_boundary_rows_match(mat[:4], rhs[:4], chains, grid.widths / 2.0, bcs)
 
     def test_cached_arrays_are_read_only_and_one_entry_is_kept(self):
         homogeneous_basis.cache_clear()
@@ -494,8 +518,10 @@ class TestHomogeneousBasisCache:
         assert first.chain.basis is basis
         for row in basis.levels.values():
             assert all(not c.a.flags.writeable for c in row)
-        bc = table_1e_bcs()[0]
-        assert not basis.condition_values(bc, bc.row(32)).flags.writeable
+        # u and u' at both ends read level 0 at orders 0 and 1, and nothing else
+        assert set(basis._reads) == {(0, end, order) for end in (-1, 1) for order in (0, 1)}
+        assert all(not vals.flags.writeable for vals in basis._reads.values())
+        assert basis.read(0, 1, 1, endpoint_row(32, 1, 1)) is basis._reads[0, 1, 1]
         second = solve_bvp(MIXED_OP, np.cos, table_1e_bcs(), m=40)
         assert homogeneous_basis.cache_info().currsize == 1
         assert second.chain.basis is not basis
@@ -503,7 +529,7 @@ class TestHomogeneousBasisCache:
         assert_solutions_equal(solve_bvp(MIXED_OP, np.cos, table_1e_bcs(), m=32), first)
 
     def test_concurrent_solves_match_serial_solves(self):
-        # threads race on the one cache entry and its condition memo; every
+        # threads race on the one cache entry and its read memo; every
         # result must still be the serial one
         ops = fourth_order_ops(30.0, 60.0)
         d = BoundaryCondition.derivative
