@@ -54,7 +54,6 @@ from .integration import (
 from .piecewise import (
     PiecewiseGrid,
     PiecewiseSolution,
-    eval_piecewise,
     overshoot,
     piecewise_solve_diffmat,
     piecewise_solve_spectral,
@@ -89,7 +88,6 @@ __all__ = [
     "dense_sample",
     "diff_endpoint_row",
     "double_integrate_coeffs",
-    "eval_piecewise",
     "eval_series",
     "exact_function",
     "first_order_particular",

@@ -309,6 +309,12 @@ class TestEvalPiecewise:
         with pytest.raises(ValueError, match="outside"):
             eval_piecewise(layer_solution, float("nan"))
 
+    def test_lives_in_the_piecewise_module_only(self):
+        import chebbvp
+
+        assert "eval_piecewise" not in chebbvp.__all__
+        assert not hasattr(chebbvp, "eval_piecewise")
+
 
 @pytest.mark.parametrize(
     "solve", [piecewise_solve_spectral, piecewise_solve_diffmat], ids=["spectral", "diffmat"]

@@ -14,3 +14,4 @@ def test_python_blocks_run_in_order():
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["values"].shape == (8193,)
     assert namespace["sol"].grid.n_intervals == 3
+    assert namespace["eval_piecewise"].__module__ == "chebbvp.piecewise"
