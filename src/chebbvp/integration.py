@@ -28,13 +28,38 @@ is cached and shared by every solve through that factor: the homogeneous
 chains that ``factored.homogeneous_basis`` builds from particular solves,
 once per operator and M, and the particular chain of every right-hand
 side.
+
+Row n of either system depends on n alone, never on M, so its leading K
+rows are the order-(K + r) system (r = 1 or 2).  A boundary-layer chain's
+coefficients fall like those of e^(rho y), by asinh(n/rho) per row with
+rho = |a| or the largest |root| of s^2 + b s + c, and underflow long before
+row M; LAPACK's sweeps crawl through gradual underflow.  So a solve whose
+right-hand side ends below ``tiny`` (the smallest normal float) first
+predicts the row N where the chain has fallen by
+
+    ln max|g| - ln tiny + ln(1 + rho) + 40,
+
+from the closed form N asinh(N/rho) - sqrt(N^2 + rho^2) + rho of the summed
+decay, and solves the order-(K + r) system alone, with K = max(one past the
+right-hand side's last normal entry, N) + 2048 rounded up to a multiple of
+4096, so that the solves through one factor share a factorization.  The
+result is kept if its last 2048 entries are below ``tiny``, with its
+entries from one past the last normal one set to exactly zero; otherwise,
+and whenever K >= M - r, the order-M system is solved.  This is the
+adaptive truncation of Olver & Townsend (SIAM Review 55, 2013) at the
+underflow threshold instead of a tolerance.  "Normal" is ``not abs(v) <
+tiny``, so NaN and inf always reach the full solve.  On the boundary-layer
+tables the fitted constants are bitwise those of the full solve, and
+coefficients move by less than 1e-280.  The smaller systems' factorizations
+live in the same caches as every other.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import asinh, hypot, inf, isfinite, log, log1p
 
 import numpy as np
 
@@ -112,20 +137,89 @@ def _second_order_factorization(op: SecondOrderOp, m: int) -> BandedFactorizatio
 
 def first_order_particular(op: FirstOrderOp, f: ChebCoeffs) -> ChebCoeffs:
     """Particular solution of (D - a)u = f with T_0(u) = 0."""
-    m = f.m
-    x = banded_solve(_first_order_factorization(op, m), integral_rows(f))
-    a = np.zeros(m + 1)
-    a[1:m] = x
-    return ChebCoeffs(m, a)
+    return _particular(_first_order_factorization, op, abs(float(op.a)), f.m, integral_rows(f))
 
 
 def second_order_particular(op: SecondOrderOp, f: ChebCoeffs) -> ChebCoeffs:
     """Particular solution of (D^2 + bD + c)u = f with T_0(u) = T_1(u) = 0."""
-    m = f.m
-    x = banded_solve(_second_order_factorization(op, m), double_integral_rows(f))
+    b, c = float(op.b), float(op.c)
+    d = cmath.sqrt(b * b - 4.0 * c)
+    rho = max(abs(b + d), abs(b - d)) / 2.0  # the largest |root| of s^2 + b s + c
+    return _particular(_second_order_factorization, op, rho, f.m, double_integral_rows(f))
+
+
+_TINY = np.finfo(float).tiny
+_MARGIN = 2048  # rows solved past the predicted underflow, and required below tiny at the end
+_ROUND = 4096  # the leading systems' orders are multiples of this, so solves share their factorization
+
+
+def _particular(factorization, op, rho: float, m: int, g: np.ndarray) -> ChebCoeffs:
+    """Coefficients alpha_r..alpha_{M-1} (r = M - len(g)) of op's order-M system with right-hand side g.
+
+    ``factorization(op, order)`` is the cached factorization.  A g that ends
+    below tiny is first solved on its leading K rows, the order-(K + r)
+    system, and that solve is kept if its last 2048 entries are below tiny.
+    """
+    n, r = len(g), m - len(g)
     a = np.zeros(m + 1)
-    a[2:m] = x
+    # no leading system has fewer than 4096 rows
+    k = _leading_rows(g, rho) if n > _ROUND and abs(g[-1]) < _TINY else n
+    if k < n:
+        x = banded_solve(factorization(op, k + r), g[:k])
+        s = _last_normal(x)
+        if s <= k - _MARGIN:
+            a[r : r + s] = x[:s]
+            return ChebCoeffs(m, a)
+    a[r:m] = banded_solve(factorization(op, m), g)
     return ChebCoeffs(m, a)
+
+
+def _leading_rows(g: np.ndarray, rho: float) -> int:
+    """K, a multiple of 4096: 2048 rows past both g's last normal entry and the predicted underflow row.
+
+    n, the full system, when K would not be smaller.
+    """
+    n = len(g)
+    peak = max(g.max(), -g.min())
+    if not isfinite(peak):
+        return n
+    # in logs: peak / tiny overflows
+    budget = (log(peak) if peak > 0.0 else -inf) - log(_TINY) + log1p(rho) + 40.0
+    top = (n - 1) // _ROUND * _ROUND - _MARGIN  # the largest underflow row whose K is below n
+    k = _underflow_row(rho, budget, top + 1)
+    if k > top:
+        return n
+    k = max(k, _last_normal(g)) + _MARGIN
+    return -(-k // _ROUND) * _ROUND
+
+
+def _underflow_row(rho: float, budget: float, limit: int) -> int:
+    """The least N <= limit whose decay sum_{j <= N} asinh(j / rho) reaches budget (limit if none).
+
+    The sum is bounded below by its integral N asinh(N/rho) - sqrt(N^2 + rho^2)
+    + rho, so the N found is never too small for a chain that decays as fast.
+    """
+    if rho == 0.0 or budget <= 0.0:
+        return 0
+
+    def decay(j: int) -> float:
+        # the second term is sqrt(j^2 + rho^2) - rho, written without cancellation
+        return j * asinh(j / rho) - j * j / (hypot(j, rho) + rho)
+
+    if decay(limit) < budget:
+        return limit
+    lo, hi = 0, limit  # decay(lo) < budget <= decay(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if decay(mid) < budget else (lo, mid)
+    return hi
+
+
+def _last_normal(v: np.ndarray) -> int:
+    """One past the last entry of v with not abs(.) < tiny (NaN and inf count), 0 if none."""
+    normal = ~((v > -_TINY) & (v < _TINY))
+    last = int(np.argmax(normal[::-1]))
+    return len(v) - last if normal[-1 - last] else 0
 
 
 def first_order_residual(op: FirstOrderOp, u: ChebCoeffs, f: ChebCoeffs) -> np.ndarray:

@@ -90,6 +90,25 @@ class TestBandedFactorSolve:
             banded_factor(a)
         assert exc.value.column is not None
 
+    def test_factors_are_read_only_and_solved_without_a_copy(self):
+        # the factorization caches share these arrays between threads (README "Concurrency")
+        n = 100_000
+        f = banded_factor(random_banded(n, 2, 2, seed=6))
+        assert not f.lu.flags.writeable and not f.ipiv.flags.writeable
+        with pytest.raises(ValueError):
+            f.lu[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.ipiv[0] = 0
+        rhs = np.random.default_rng(7).standard_normal(n)
+        tracemalloc.start()
+        try:
+            x = banded_solve(f, rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rhs.nbytes < f.lu.nbytes / 3
+        np.testing.assert_array_equal(x, banded_solve(banded_factor(random_banded(n, 2, 2, seed=6)), rhs))
+
     def test_dimension_mismatch(self):
         f = banded_factor(random_banded(5, 1, 1, seed=5))
         with pytest.raises(ValueError):

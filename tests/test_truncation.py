@@ -1,12 +1,14 @@
-"""Truncated banded solves against the full LAPACK solve they replace.
+"""Truncated chain solves against the full LAPACK solve they replace.
 
-``banded_solve`` stops a large solve where its solution has underflowed.
-The oracle here is one full ``dgbtrs`` on the whole factorization, the call
-every banded solve made before the truncation: directly on edge-case
-systems, and patched in where the chains call ``banded_solve`` on the
-boundary-layer tables.
+A particular solve whose right-hand side ends below tiny is first made on
+a smaller grid's banded system (``integration._particular``).  The oracle
+here is one full ``dgbtrs`` on the order-M factorization, the call every
+chain solve made before the truncation: directly on edge-case right-hand
+sides, and patched in at ``integration._particular`` on the boundary-layer
+tables.
 """
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,11 +17,17 @@ import pytest
 from scipy.linalg import lapack
 
 from chebbvp import factored, integration
-from chebbvp.banded import BandedMatrix, banded_factor, banded_solve
-from chebbvp.chebyshev import cheb_points, to_values
+from chebbvp.chebyshev import ChebCoeffs, cheb_points, double_integral_rows, to_values
 from chebbvp.cli import builtin_spec_text, main, sweep_cell
 from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
-from chebbvp.integration import FirstOrderOp, SecondOrderOp, first_order_matrix
+from chebbvp.integration import (
+    FirstOrderOp,
+    SecondOrderOp,
+    _first_order_factorization,
+    _second_order_factorization,
+    first_order_particular,
+    second_order_particular,
+)
 from chebbvp.problems import exact_function, parse_problem
 
 TINY = np.finfo(float).tiny
@@ -33,11 +41,24 @@ def full_solve(f, rhs):
     return x[:, 0]
 
 
-def layer_system(n, a=1e4):
-    """(D - a) on n rows with forcing T_0: a solution falling like e^(-j^2/2a), subnormal past row ~3.8k."""
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    return banded_factor(first_order_matrix(FirstOrderOp(a), n + 1)), rhs
+def full_particular(factorization, op, rho, m, g):
+    """integration._particular as it was before the truncation: one dgbtrs on the order-M factorization."""
+    a = np.zeros(m + 1)
+    a[m - len(g) : m] = full_solve(factorization(op, m), g)
+    return ChebCoeffs(m, a)
+
+
+def chain_and_full(g, a=1e4, m=65536):
+    """The chain solve of rows g through (D - a) on the order-m grid, and the full solve, as level arrays."""
+    args = (_first_order_factorization, FirstOrderOp(a), abs(a), m, g)
+    return integration._particular(*args).a[1:m], full_particular(*args).a[1:m]
+
+
+def layer_rows(m=65536):
+    """Rows forced by T_0 alone: through (D - 1e4) a solution falling like e^(-j^2/2e4), subnormal past row ~3.8k."""
+    g = np.zeros(m - 1)
+    g[0] = 1.0
+    return g
 
 
 def has_subnormals(x):
@@ -46,61 +67,127 @@ def has_subnormals(x):
 
 class TestTruncatedSolve:
     def test_underflowed_tail_becomes_exact_zeros(self):
-        f, rhs = layer_system(65535)
-        x, full = banded_solve(f, rhs), full_solve(f, rhs)
+        x, full = chain_and_full(layer_rows())
         assert has_subnormals(full) and not has_subnormals(x)
         assert np.max(np.abs(x - full)) < 1e-280
         assert not np.any(x[8192:])
 
     def test_just_below_the_gate_is_the_full_solve(self):
-        f, rhs = layer_system(32767)
-        full = full_solve(f, rhs)
+        # 4096 rows: the smallest leading system is no smaller, so the solve is the full one
+        x, full = chain_and_full(layer_rows(4097), m=4097)
         assert has_subnormals(full)  # a truncation would have zeroed them
-        np.testing.assert_array_equal(banded_solve(f, rhs), full)
+        np.testing.assert_array_equal(x, full)
 
     def test_normal_last_entry_is_the_full_solve(self):
-        f, _ = layer_system(65535)
-        rhs = np.random.default_rng(11).standard_normal(65535)
-        np.testing.assert_array_equal(banded_solve(f, rhs), full_solve(f, rhs))
+        g = np.random.default_rng(11).standard_normal(65535)
+        x, full = chain_and_full(g)
+        np.testing.assert_array_equal(x, full)
 
     def test_zero_rhs(self):
-        f, rhs = layer_system(65535)
-        np.testing.assert_array_equal(banded_solve(f, np.zeros_like(rhs)), np.zeros_like(rhs))
+        x, _ = chain_and_full(np.zeros(65535))
+        np.testing.assert_array_equal(x, np.zeros(65535))
 
     def test_pivot_crossing_the_first_rows(self):
-        # identity but for rows c, c + 1 = [0 1; t 1]: column c pivots on row c + 1.  The rhs's last normal
-        # entry is row 0, so the first try solves rows 0..c, and t x_c = rhs[c + 1] = 1e-310 gives x_c = 1e-10
-        # only if the interchange of rows c and c + 1 is kept.
-        n, c, t = 32768, 2048, 1e-300
-        diag, sub, sup = np.ones(n), np.zeros(n - 1), np.zeros(n - 1)
-        diag[c], sub[c], sup[c] = 0.0, t, 1.0
-        f = banded_factor(BandedMatrix.from_diagonals(n, 1, 1, {0: diag, -1: sub, 1: sup}))
-        assert f.ipiv[c] == c + 1
-        rhs = np.zeros(n)
-        rhs[0], rhs[c + 1] = 1.0, 1e-310
-        x = banded_solve(f, rhs)
-        np.testing.assert_array_equal(x, full_solve(f, rhs))
-        assert x[c] == pytest.approx(1e-10)
+        # (D^2 + 3e5 D + 2e10) = (D + 1e5)(D + 2e5): the order-M factorization's row interchanges cross row K, so
+        # the order-(K + 2) factors differ from its leading columns, yet the leading solve keeps every normal entry
+        m, op = 65536, SecondOrderOp(3e5, 2e10)
+        f = ChebCoeffs.unit(m, 0)
+        full, x = full_then_truncated(lambda: second_order_particular(op, f).a[2:m])
+        k = int(np.flatnonzero(x)[-1]) + 1
+        assert k < 20480 < m - 2
+        assert _second_order_factorization(op, m).ipiv[:20480].max() >= 20480
+        normal = np.abs(full) >= TINY
+        np.testing.assert_array_equal(x[normal], full[normal])
+        assert np.max(np.abs(x - full)) < 1e-280 and has_subnormals(full) and not has_subnormals(x)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("row", [10, -5000, -1])
     def test_non_finite_rhs_reaches_the_full_solve(self, row, value):
-        f, rhs = layer_system(65535)
-        rhs[row] = value
-        x, full = banded_solve(f, rhs), full_solve(f, rhs)
+        g = layer_rows()
+        g[row] = value
+        x, full = chain_and_full(g)
         assert not np.all(np.isfinite(full))
         np.testing.assert_array_equal(x, full)  # NaNs in the same entries
 
+    def test_missed_prediction_falls_back_to_the_full_solve(self, monkeypatch):
+        # u'' + 1e8 u: complex roots +-1e4 i, whose chain (Bessel J_n(1e4)) does not decay before row 1e4.  The
+        # prediction, made as for a real root of that size, solves 8192 rows; their tail is normal, so the full
+        # solve follows and is kept as it is.
+        m, op = 65536, SecondOrderOp(0.0, 1e8)
+        f = ChebCoeffs.unit(m, 0)
+        sizes, solve = [], integration.banded_solve
+        monkeypatch.setattr(integration, "banded_solve", lambda fac, rhs: sizes.append(fac.n) or solve(fac, rhs))
+        x = second_order_particular(op, f).a[2:m]
+        assert sizes == [8192, m - 2]
+        np.testing.assert_array_equal(x, full_solve(_second_order_factorization(op, m), double_integral_rows(f)))
+
+    def test_huge_rhs_warns_nothing(self):
+        g = layer_rows()
+        g[0] = 1e300  # peak / tiny overflows; the budget is taken in logs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, full = chain_and_full(g)
+        assert not np.any(x[8192:]) and np.all(np.isfinite(x))
+        normal = np.abs(full) >= TINY
+        np.testing.assert_array_equal(x[normal], full[normal])
+
+    def test_too_small_orders_raise(self):
+        with pytest.raises(ValueError, match="M >= 3"):
+            first_order_particular(FirstOrderOp(1.0), ChebCoeffs.zeros(2))
+        with pytest.raises(ValueError, match="M >= 5"):
+            second_order_particular(SecondOrderOp(1.0, 1.0), ChebCoeffs.zeros(4))
+
+    @pytest.mark.parametrize(
+        "factorization, op, r",
+        [
+            (_first_order_factorization, FirstOrderOp(1e6), 1),
+            (_second_order_factorization, SecondOrderOp(0.0, -1e12), 2),
+            (_second_order_factorization, SecondOrderOp(3e6, 2e12), 2),  # interchanges cross row K
+        ],
+    )
+    def test_smaller_order_factors_are_the_leading_columns(self, factorization, op, r):
+        # row n of the system depends on n alone, so the order-(K + r) system is the order-M one's leading K rows
+        m, k = 65536, 20480
+        big, small = factorization(op, m), factorization(op, k + r)
+        assert small.n == k
+        lead = k - big.kl  # columns whose pivot search and multipliers lie inside the leading K rows
+        np.testing.assert_array_equal(small.lu[:, :lead], big.lu[:, :lead])
+        np.testing.assert_array_equal(small.ipiv[:lead], big.ipiv[:lead])
+        # inside the leading K x K block the factors agree in every column unless an interchange crosses row K
+        band_row = np.arange(big.lu.shape[0])[:, None] - big.kl - big.ku + np.arange(k)
+        inside = band_row < k
+        if big.ipiv[:k].max() < k:
+            np.testing.assert_array_equal(small.lu[inside], big.lu[:, :k][inside])
+            np.testing.assert_array_equal(small.ipiv, big.ipiv[:k])
+        else:
+            assert not np.array_equal(small.lu[inside], big.lu[:, :k][inside])
+
 
 def full_then_truncated(solve):
-    """solve() with every chain solve a full dgbtrs, then with banded_solve, each on a fresh homogeneous basis."""
-    out = []
-    for solver in (full_solve, banded_solve):
+    """solve() with every chain solve a full dgbtrs, then with the truncation, each on a fresh homogeneous basis.
+
+    The truncated run must make one banded solve per chain solve: no leading solve is wasted on a missed
+    prediction.
+    """
+    out, calls = [], {"chain": 0, "banded": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for particular in (full_particular, integration._particular):
         factored.homogeneous_basis.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(integration, "banded_solve", solver)
+            mp.setattr(integration, "_particular", counted("chain", particular))
+            mp.setattr(integration, "banded_solve", counted("banded", integration.banded_solve))
             out.append(solve())
+        if particular is full_particular:
+            calls.update(chain=0, banded=0)
     factored.homogeneous_basis.cache_clear()
+    assert calls["banded"] == calls["chain"]
     return out
 
 
@@ -128,7 +215,7 @@ def subnormals(sol):
 
 
 @pytest.mark.parametrize("a", [1e4, 1e5, 1e6])
-@pytest.mark.parametrize("m", [65536, 131072])
+@pytest.mark.parametrize("m", [8192, 16384, 65536, 131072])
 @pytest.mark.parametrize("kind", ["1a", "1c", "1e_linear", "1e_quadratic"])
 def test_boundary_layers_match_the_full_solve(kind, m, a):
     op, f, bcs, exact = layer_problem(kind, a)
@@ -138,17 +225,17 @@ def test_boundary_layers_match_the_full_solve(kind, m, a):
     y = cheb_points(m).points
     errors = [np.max(np.abs(to_values(s.coeffs).v - exact(y))) for s in (full, truncated)]
     assert errors[1] == errors[0]
-    # the truncation took effect: it leaves fewer subnormal chain entries.  At M = 65536 and a = 1e6 the
-    # homogeneous chains are still normal at row 32800, the last k below n, so their solves end in the full one.
+    # the truncation took effect: it leaves fewer subnormal chain entries.  At M = 8192, and at M = 16384 with
+    # a >= 1e5, the chains of these layers underflow too late for a leading system of fewer rows than M.
     left, before = subnormals(truncated), subnormals(full)
-    assert left < before if m == 131072 else left <= before
+    assert left < before if m >= 65536 or (m == 16384 and a == 1e4) else left <= before
 
 
-@pytest.mark.parametrize("table", ["1a", "1b", "1c", "1e"])
+@pytest.mark.parametrize("table", ["1a", "1b", "1c", "1d", "1e"])
 def test_large_table_rows_match_the_full_solve(table):
-    # the [sweep] rows at M >= 32768, the only ones a truncated solve reaches
+    # the [sweep] rows at M >= 8192, the only ones with more rows than the smallest leading system
     spec = parse_problem(builtin_spec_text(f"table{table}.spec"))
-    rows = [grid for _, grid in spec.sweep.rows if grid >= 32768]
+    rows = [grid for _, grid in spec.sweep.rows if grid >= 8192]
     assert rows
     for grid in rows:
         for column in spec.sweep.columns:
