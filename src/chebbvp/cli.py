@@ -1,7 +1,7 @@
 """Command-line front end: solve problem files, reproduce the error tables.
 
     chebbvp solve <file> [--backend spectral|diffmat] [--time] [--tol X]
-    chebbvp tables <1a|1b|1c|1d|1e|3|4>     (the [sweep] of specs/table<id>.spec)
+    chebbvp tables <id>     (the [sweep] of specs/table<id>.spec, one id per shipped table spec)
     chebbvp diag <file>
 
 CSV goes to stdout (byte-identical for identical inputs); timings and
@@ -20,6 +20,7 @@ solver.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -32,7 +33,6 @@ from . import factored as _factored_mod
 from . import integration as _integration_mod
 from .banded import SingularSystemError
 from .diagnostics import SpectrumReport, dense_export, singular_spectrum, spectrum_csv
-from .diffmat import AffineConvectionOp
 from .piecewise import (
     PiecewiseGrid,
     PiecewiseSolution,
@@ -61,7 +61,7 @@ def run(spec: ProblemSpec, backend: str | None = None) -> RunReport:
     backend = backend or spec.backend
     if backend not in ("spectral", "diffmat"):
         raise ValueError(f"unknown backend {backend!r}")
-    if isinstance(spec.operator, AffineConvectionOp) and backend != "diffmat":
+    if spec.backend == "diffmat" and backend != "diffmat":
         raise ValueError("the affine-convection operator requires the diffmat backend")
 
     grid = spec.grid if spec.is_piecewise else PiecewiseGrid(np.array([-1.0, 1.0]), (spec.grid,))
@@ -100,7 +100,9 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-TABLES = ("1a", "1b", "1c", "1d", "1e", "3", "4")
+_SPECS = resources.files("chebbvp").joinpath("specs")
+# the shipped specs/table<id>.spec files are the list of tables
+TABLES = tuple(sorted(m[1] for p in _SPECS.iterdir() if (m := re.fullmatch(r"table(.+)\.spec", p.name))))
 
 
 def sweep_cell(spec: ProblemSpec, column) -> float:
@@ -135,7 +137,7 @@ def spectrum(spec: ProblemSpec) -> SpectrumReport:
 
 def builtin_spec_text(name: str) -> str:
     """Text of a shipped problem file (e.g. 'table1a.spec')."""
-    return resources.files("chebbvp").joinpath("specs", name).read_text(encoding="utf-8")
+    return _SPECS.joinpath(name).read_text(encoding="utf-8")
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,10 @@
 """Problem-file parsing, builtin functions, CLI behavior, table reproduction."""
 
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +14,18 @@ from chebbvp.chebyshev import cheb_points, to_values
 from chebbvp.cli import TABLES, _clear_setup_caches, builtin_spec_text, main, reproduce_tables, run, sweep_cell
 from chebbvp.diffmat import AffineConvectionOp
 from chebbvp.factored import BoundaryCondition, OperatorFactorization, homogeneous_basis, solve_bvp
-from chebbvp.integration import FirstOrderOp
+from chebbvp.integration import FirstOrderOp, _first_order_factorization, _second_order_factorization
 from chebbvp.piecewise import PiecewiseGrid, overshoot, sample_piecewise
 from chebbvp.problems import (
     ProblemFormatError,
+    ProblemSpec,
     exact_function,
     load_problem,
     parse_problem,
     parse_rhs_expr,
 )
+
+SPECS = Path(__file__).resolve().parents[1] / "src" / "chebbvp" / "specs"
 
 MINIMAL_FIRST_ORDER = """
 [operator]
@@ -36,6 +40,41 @@ m = 16
 [bc]
 at=-1 d0=1 value=0
 """
+
+
+# (old, new, line, message): MINIMAL_FIRST_ORDER with old replaced by new (appended when old is None), the
+# line the parser names (None where the error belongs to no one line), and the start of the message
+BAD_INPUTS = [
+    pytest.param("const:0", "1 + + sinpi", 6, "empty term in rhs expression", id="rhs-empty-term"),
+    pytest.param("const:0", "2*tanpi", 6, "unknown rhs basis 'tanpi'", id="rhs-basis"),
+    pytest.param("expr = const:0", "f = const:0", 6, "unknown rhs key 'f'", id="rhs-key"),
+    pytest.param(None, "[exact]\nname = sinpi:1\n", 14, "exact solution 'sinpi' takes 0 parameter(s)", id="exact-count"),
+    pytest.param(None, "[exact]\nsolution = sinpi\n", 14, "unknown exact key 'solution'", id="exact-key"),
+    pytest.param(None, "[exact]\nname = erf_step:0\n", 14, "exact solution 'erf_step' needs eps > 0", id="erf-zero"),
+    pytest.param(None, "[exact]\nname = erf_step:-1e-3\n", 14, "exact solution 'erf_step' needs eps > 0", id="erf-neg"),
+    pytest.param(
+        None, "[exact]\nname = cosh_pair:1e3:1e3\n", 14, "exact solution 'cosh_pair' needs b tanh b != a tanh a",
+        id="cosh-equal",
+    ),
+    pytest.param(
+        None, "[exact]\nname = cosh_pair:1e-200:2e-200\n", 14, "exact solution 'cosh_pair' needs b tanh b != a tanh a",
+        id="cosh-underflow",
+    ),
+    pytest.param(None, "[exact]\nname = exp_ramp:0:1:2\n", 14, "exact solution 'exp_ramp' needs a != 0", id="ramp-zero"),
+    pytest.param("\n[operator]", "x = 1\n[operator]", 1, "content before any [section]", id="before-section"),
+    pytest.param("[operator]\nlinear 1\n", "", None, "missing [operator] section", id="no-operator"),
+    pytest.param("[grid]\nm = 16\n", "", None, "missing [grid] section", id="no-grid"),
+    pytest.param("value=0", "value=0 dirichlet", 12, "expected key=value, got 'dirichlet'", id="bc-token"),
+    pytest.param("value=0", "value=0 side=left", 12, "unknown boundary-condition key 'side'", id="bc-key"),
+    pytest.param("at=-1", "at=0", 12, "boundary condition needs at=-1 or at=+1", id="bc-at"),
+    pytest.param(" value=0", "", 12, "boundary condition needs value=", id="bc-value"),
+    pytest.param("d0=1 ", "", 12, "boundary condition needs a nonzero weight", id="bc-no-weight"),
+    pytest.param("d0=1", "d0=0", 12, "boundary condition needs a nonzero weight", id="bc-zero-weight"),
+    pytest.param(
+        "linear 1", "cubic 1", 3, "expected 'linear a', 'quadratic b c', or 'ysecond p q1 q0 r', got 'cubic 1'",
+        id="operator-line",
+    ),
+]
 
 
 class TestParseProblem:
@@ -77,6 +116,18 @@ class TestParseProblem:
         assert isinstance(spec.operator, AffineConvectionOp)
         assert spec.backend == "diffmat"
         assert spec.is_piecewise
+
+    def test_backend_follows_the_operator(self):
+        spec = parse_problem(MINIMAL_FIRST_ORDER)
+        assert "backend" not in {f.name for f in fields(ProblemSpec)}
+        assert replace(spec, operator=AffineConvectionOp(1.0, 0.0, 0.0, 1.0)).backend == "diffmat"
+        with pytest.raises(TypeError):
+            ProblemSpec(spec.operator, spec.rhs, spec.grid, spec.bcs, backend="diffmat")
+
+    def test_minus_pi_token(self):
+        spec = parse_problem(MINIMAL_FIRST_ORDER.replace("linear 1", "linear -pi").replace("const:0", "-pi*sinpi"))
+        assert spec.operator.linear == (FirstOrderOp(-np.pi),)
+        np.testing.assert_array_equal(spec.rhs(np.array([0.5])), [-np.pi])
 
     def test_ysecond_rejects_mixed_factors(self):
         text = MINIMAL_FIRST_ORDER.replace("linear 1", "linear 1\nysecond 1 1 0 0")
@@ -374,9 +425,16 @@ class TestTables:
     def test_deterministic_output(self):
         assert reproduce_tables("1d") == reproduce_tables("1d")
 
-    def test_unknown_table(self):
+    def test_unknown_table(self, capsys):
         with pytest.raises(ValueError, match="unknown table"):
             reproduce_tables("2")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tables", "2"])
+        assert exit_info.value.code == 2
+
+    def test_tables_are_the_shipped_table_specs(self):
+        assert TABLES == tuple(sorted(p.stem[len("table") :] for p in SPECS.glob("table*.spec")))
+        assert TABLES == ("1a", "1b", "1c", "1d", "1e", "3", "4")
 
 
 class TestMain:
@@ -438,6 +496,46 @@ class TestMain:
         path = self._spec_path(tmp_path, "[operator]\nlinear nope\n")
         assert main(["solve", path]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, lineno, match", BAD_INPUTS)
+    def test_bad_input_exits_2_with_its_line(self, tmp_path, capsys, old, new, lineno, match):
+        text = MINIMAL_FIRST_ORDER.replace(old, new, 1) if old else MINIMAL_FIRST_ORDER + new
+        prefix = "" if lineno is None else f"line {lineno}: "
+        with pytest.raises(ProblemFormatError, match="^" + re.escape(prefix + match)):
+            parse_problem(text)
+        path = self._spec_path(tmp_path, text)
+        for argv in (["solve", path], ["solve", path, "--tol", "1"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {prefix}{match}")
+
+    def test_factorization_caches_are_bounded(self):
+        caches = (_first_order_factorization, _second_order_factorization)
+        _clear_setup_caches()
+        reproduce_tables("1e")
+        # a whole table run factors each (factor, order) once: nothing is evicted
+        assert all(cache.cache_info().misses == cache.cache_info().currsize for cache in caches)
+        reproduce_tables("1a")
+        reproduce_tables("1c")
+        for k in range(40):
+            _first_order_factorization(FirstOrderOp(k + 0.5), 4096)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize == 32 and info.currsize <= 32
+        assert _first_order_factorization.cache_info().currsize == 32
+        _clear_setup_caches()
+
+    @pytest.mark.parametrize("name", ["table1a", "table1c", "table1d", "table1e", "table3"])
+    def test_time_flag_warm_rerun_makes_no_factorization(self, tmp_path, name):
+        path = self._spec_path(tmp_path, builtin_spec_text(f"{name}.spec"))
+        _clear_setup_caches()
+        assert main(["solve", path, "--time"]) == 0
+        for cache in (_first_order_factorization, _second_order_factorization):
+            info = cache.cache_info()
+            # nothing was evicted, so each factorization was made once, by the cold run, and the warm rerun hit it
+            assert info.misses == info.currsize
+            assert info.hits >= info.misses
 
     def test_missing_file(self, capsys):
         assert main(["solve", "/no/such/file.spec"]) == 2

@@ -8,6 +8,7 @@ sides, and patched in at ``integration._particular`` on the boundary-layer
 tables.
 """
 
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -130,6 +131,24 @@ class TestTruncatedSolve:
         assert not np.any(x[8192:]) and np.all(np.isfinite(x))
         normal = np.abs(full) >= TINY
         np.testing.assert_array_equal(x[normal], full[normal])
+
+    @pytest.mark.parametrize("rho", [1e-3, 1.0, 1e4, 1e6, 1e12])
+    def test_underflow_row_is_the_least_row_whose_decay_reaches_the_budget(self, rho):
+        # brute force over every row; at rho = 1e12 the decay never reaches budgets >= 1e-2 below row 65536
+        limits = (0, 1, 2, 3, 100, 4095, 12288, 65536)
+        decay = np.array([j * math.asinh(j / rho) - j * j / (math.hypot(j, rho) + rho) for j in range(limits[-1])])
+        assert np.all(np.diff(decay) > 0)
+        for budget in (-math.inf, -1.0, 0.0, 1e-3, 1e-2, 1.0, 40.0, 700.0, 1480.0, 1e6, 1e15):
+            for limit in limits:
+                reached = np.flatnonzero(decay[:limit] >= budget)
+                least = int(reached[0]) if reached.size else limit
+                assert integration._underflow_row(rho, budget, limit) == least, (budget, limit)
+
+    def test_underflow_row_without_decay_is_zero(self):
+        # rho = 0, the factor D: the chain ends where its right-hand side does
+        for budget in (-math.inf, 0.0, 1.0, 1e15):
+            for limit in (0, 1, 4095, 65536):
+                assert integration._underflow_row(0.0, budget, limit) == 0
 
     def test_too_small_orders_raise(self):
         with pytest.raises(ValueError, match="M >= 3"):
