@@ -6,51 +6,19 @@ the integrated form keeps every coefficient-space system banded, and
 fitting boundary conditions as a final small combination keeps the method
 accurate through thin boundary layers, even when the banded systems are
 spectacularly ill-conditioned.
+
+The package root exports the library API; the building blocks (banded
+factors and solves, chain solves, the boundary fit, coefficient
+integration) are imported from their modules.
 """
 
-from .banded import (
-    BandedFactorization,
-    BandedMatrix,
-    SingularSystemError,
-    banded_factor,
-    banded_solve,
-)
-from .chebyshev import (
-    ChebCoeffs,
-    ChebGrid,
-    GridValues,
-    cheb_points,
-    dense_sample,
-    double_integrate_coeffs,
-    eval_series,
-    function_to_coeffs,
-    integrate_coeffs,
-    to_coeffs,
-    to_values,
-)
-from .diagnostics import (
-    SpectrumReport,
-    condition_vs_parameter,
-    dense_export,
-    jacobi_svd,
-    singular_spectrum,
-    spectrum_csv,
-)
-from .diffmat import AffineConvectionOp, diff_endpoint_row
-from .factored import (
-    BoundaryCondition,
-    OperatorFactorization,
-    Solution,
-    fit_boundary,
-    solve_bvp,
-    solve_chains,
-)
-from .integration import (
-    FirstOrderOp,
-    SecondOrderOp,
-    first_order_particular,
-    second_order_particular,
-)
+from . import diffmat, factored, integration
+from .banded import SingularSystemError
+from .chebyshev import ChebCoeffs, GridValues, cheb_points, eval_series, to_coeffs, to_values
+from .diagnostics import SpectrumReport, dense_export, singular_spectrum
+from .diffmat import AffineConvectionOp
+from .factored import BoundaryCondition, OperatorFactorization, Solution, solve_bvp
+from .integration import FirstOrderOp, SecondOrderOp
 from .piecewise import (
     PiecewiseGrid,
     PiecewiseSolution,
@@ -59,17 +27,28 @@ from .piecewise import (
     piecewise_solve_spectral,
     sample_piecewise,
 )
-from .problems import ProblemSpec, exact_function, load_problem, parse_problem
+from .problems import ProblemSpec, load_problem, parse_problem
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty the solver's caches and release their memory.
+
+    These are the banded factorizations of both factor orders, the diffmat
+    endpoint rows and the homogeneous basis.  The next solve rebuilds what
+    it needs, so its results are unchanged.
+    """
+    integration._first_order_factorization.cache_clear()
+    integration._second_order_factorization.cache_clear()
+    diffmat.diff_endpoint_row.cache_clear()
+    factored.homogeneous_basis.cache_clear()
+
+
 __all__ = [
     "AffineConvectionOp",
-    "BandedFactorization",
-    "BandedMatrix",
     "BoundaryCondition",
     "ChebCoeffs",
-    "ChebGrid",
     "FirstOrderOp",
     "GridValues",
     "OperatorFactorization",
@@ -80,32 +59,18 @@ __all__ = [
     "SingularSystemError",
     "Solution",
     "SpectrumReport",
-    "banded_factor",
-    "banded_solve",
     "cheb_points",
-    "condition_vs_parameter",
+    "clear_caches",
     "dense_export",
-    "dense_sample",
-    "diff_endpoint_row",
-    "double_integrate_coeffs",
     "eval_series",
-    "exact_function",
-    "first_order_particular",
-    "fit_boundary",
-    "function_to_coeffs",
-    "integrate_coeffs",
-    "jacobi_svd",
     "load_problem",
     "overshoot",
     "parse_problem",
     "piecewise_solve_diffmat",
     "piecewise_solve_spectral",
     "sample_piecewise",
-    "second_order_particular",
     "singular_spectrum",
     "solve_bvp",
-    "solve_chains",
-    "spectrum_csv",
     "to_coeffs",
     "to_values",
 ]

@@ -28,9 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import diffmat as _diffmat_mod
-from . import factored as _factored_mod
-from . import integration as _integration_mod
+from . import clear_caches
 from .banded import SingularSystemError
 from .diagnostics import SpectrumReport, dense_export, singular_spectrum, spectrum_csv
 from .piecewise import (
@@ -75,16 +73,9 @@ def run(spec: ProblemSpec, backend: str | None = None) -> RunReport:
     return RunReport(backend, sum(grid.orders), error, solution)
 
 
-def _clear_setup_caches():
-    _integration_mod._first_order_factorization.cache_clear()
-    _integration_mod._second_order_factorization.cache_clear()
-    _diffmat_mod.diff_endpoint_row.cache_clear()
-    _factored_mod.homogeneous_basis.cache_clear()
-
-
 def _timed_run(spec: ProblemSpec, backend: str | None):
     """Cold run prices setup + solve; a warm rerun (cached factorizations and homogeneous basis) prices the solve."""
-    _clear_setup_caches()
+    clear_caches()
     t0 = time.perf_counter()
     report = run(spec, backend)
     cold = time.perf_counter() - t0

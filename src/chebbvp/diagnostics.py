@@ -41,9 +41,9 @@ class SpectrumReport:
     """Singular values (descending), condition number, optional vectors."""
 
     singular_values: np.ndarray = field(repr=False)
-    condition: float = 0.0
-    right_vectors: np.ndarray | None = field(default=None, repr=False)
-    localization: np.ndarray | None = field(default=None, repr=False)
+    condition: float
+    right_vectors: np.ndarray | None = field(repr=False)
+    localization: np.ndarray | None = field(repr=False)
 
 
 def dense_export(op, m: int) -> np.ndarray:

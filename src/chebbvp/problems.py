@@ -32,17 +32,19 @@ Format (sections in any order, '#' starts a comment):
     row = 1e+06,2e+06,1024 ; m = 1024   # label cells as printed ; [grid] keys
 
 Exact-solution builtins: const:<k>; sinpi; saturating_exp:<a> for
-1 - e^{-a(y+1)}; exp_ramp:<a>:<ul>:<ur> for the two-value exponential layer
-profile; cosh_pair:<a>:<b> for the clamped fourth-order layer solution;
-erf_step:<eps> for the internal-layer error-function profile.  All are
-evaluated in expm1/stable forms so that layer regions do not lose more
-digits than the arithmetic itself must.
+1 - e^{-a(y+1)}, a >= -ln(DBL_MAX)/2 so that its value at y = 1 is a float;
+exp_ramp:<a>:<ul>:<ur> for the two-value exponential layer profile, at
+y = 1 for a > 0 and at y = -1 for a < 0; cosh_pair:<a>:<b> for the clamped
+fourth-order layer solution; erf_step:<eps> for the internal-layer
+error-function profile.  All are evaluated in expm1/stable forms so that
+layer regions do not lose more digits than the arithmetic itself must.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -174,12 +176,16 @@ def exact_function(name: str, line: int = 0) -> Callable[[np.ndarray], np.ndarra
     if kind == "saturating_exp":
         need(1)
         a = args[0]
+        if -2.0 * a > math.log(sys.float_info.max):  # the value at y = 1 is below -DBL_MAX
+            raise ProblemFormatError("exact solution 'saturating_exp' needs a >= -ln(DBL_MAX)/2", line)
         return lambda y: -np.expm1(-a * (y + 1.0))
     if kind == "exp_ramp":
         need(3)
         a, ul, ur = args
         if a == 0.0:
             raise ProblemFormatError("exact solution 'exp_ramp' needs a != 0", line)
+        if a < 0.0:  # the layer at y = -1, in the mirrored form whose exponents stay <= 0
+            return lambda y: ul + (ul - ur) * np.expm1(a * (y + 1.0)) / -np.expm1(2.0 * a)
         return lambda y: ur + (ur - ul) * np.expm1(a * (y - 1.0)) / -np.expm1(-2.0 * a)
     if kind == "cosh_pair":
         need(2)

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chebbvp import clear_caches
 from chebbvp.chebyshev import cheb_points, to_values
-from chebbvp.cli import TABLES, _clear_setup_caches, builtin_spec_text, main, reproduce_tables, run, sweep_cell
+from chebbvp.cli import TABLES, builtin_spec_text, main, reproduce_tables, run, sweep_cell
 from chebbvp.diffmat import AffineConvectionOp
 from chebbvp.factored import BoundaryCondition, OperatorFactorization, homogeneous_basis, solve_bvp
 from chebbvp.integration import FirstOrderOp, _first_order_factorization, _second_order_factorization
@@ -61,6 +62,10 @@ BAD_INPUTS = [
         id="cosh-underflow",
     ),
     pytest.param(None, "[exact]\nname = exp_ramp:0:1:2\n", 14, "exact solution 'exp_ramp' needs a != 0", id="ramp-zero"),
+    pytest.param(
+        None, "[exact]\nname = saturating_exp:-400\n", 14, "exact solution 'saturating_exp' needs a >= -ln(DBL_MAX)/2",
+        id="saturating-overflow",
+    ),
     pytest.param("\n[operator]", "x = 1\n[operator]", 1, "content before any [section]", id="before-section"),
     pytest.param("[operator]\nlinear 1\n", "", None, "missing [operator] section", id="no-operator"),
     pytest.param("[grid]\nm = 16\n", "", None, "missing [grid] section", id="no-grid"),
@@ -200,6 +205,22 @@ class TestBuiltinFunctions:
         y = cheb_points(16384).points
         u = exact_function("exp_ramp:1e6:1:2")(y)
         np.testing.assert_array_equal(u, 2.0 + np.expm1(1e6 * (y - 1.0)) / -np.expm1(-2e6))
+
+    def test_saturating_exp_large_negative_parameter_is_accepted(self):
+        u = exact_function("saturating_exp:-300")
+        assert u(np.array([1.0]))[0] == -np.expm1(600.0)
+
+    def test_exp_ramp_negative_parameter_does_not_overflow(self):
+        y = cheb_points(4096).points
+        u = exact_function("exp_ramp:-1000:1:2")(y)  # warnings are errors here
+        assert np.all(np.isfinite(u)) and np.all((u >= 1.0) & (u <= 2.0))
+        assert (u[-1], u[0]) == (1.0, 2.0)  # y = -1 and y = 1
+
+    def test_exp_ramp_negative_parameter_matches_the_direct_form(self):
+        y = np.linspace(-1.0, 1.0, 2001)
+        u = exact_function("exp_ramp:-3:1:2")(y)
+        direct = 2.0 + np.expm1(-3.0 * (y - 1.0)) / -np.expm1(6.0)
+        np.testing.assert_allclose(u, direct, rtol=0, atol=4 * np.spacing(2.0))
 
     def test_exp_ramp_small_parameter_limit(self):
         u = exact_function("exp_ramp:1e-9:0:1")
@@ -512,7 +533,7 @@ class TestMain:
 
     def test_factorization_caches_are_bounded(self):
         caches = (_first_order_factorization, _second_order_factorization)
-        _clear_setup_caches()
+        clear_caches()
         reproduce_tables("1e")
         # a whole table run factors each (factor, order) once: nothing is evicted
         assert all(cache.cache_info().misses == cache.cache_info().currsize for cache in caches)
@@ -524,12 +545,12 @@ class TestMain:
             info = cache.cache_info()
             assert info.maxsize == 32 and info.currsize <= 32
         assert _first_order_factorization.cache_info().currsize == 32
-        _clear_setup_caches()
+        clear_caches()
 
     @pytest.mark.parametrize("name", ["table1a", "table1c", "table1d", "table1e", "table3"])
     def test_time_flag_warm_rerun_makes_no_factorization(self, tmp_path, name):
         path = self._spec_path(tmp_path, builtin_spec_text(f"{name}.spec"))
-        _clear_setup_caches()
+        clear_caches()
         assert main(["solve", path, "--time"]) == 0
         for cache in (_first_order_factorization, _second_order_factorization):
             info = cache.cache_info()
@@ -551,7 +572,7 @@ class TestMain:
         path = self._spec_path(tmp_path, builtin_spec_text("table1b.spec"))
         run(load_problem(path))
         assert homogeneous_basis.cache_info().currsize == 1
-        _clear_setup_caches()
+        clear_caches()
         assert homogeneous_basis.cache_info().currsize == 0
         assert main(["solve", path, "--time"]) == 0
         # the cold run builds the basis, the warm rerun finds it

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebbvp import clear_caches
 from chebbvp.chebyshev import (
     ChebCoeffs,
     double_integral_rows,
@@ -12,7 +13,7 @@ from chebbvp.chebyshev import (
     function_to_coeffs,
     integral_rows,
 )
-from chebbvp.factored import OperatorFactorization, homogeneous_basis, solve_chains
+from chebbvp.factored import OperatorFactorization, solve_chains
 from chebbvp.integration import (
     FirstOrderOp,
     SecondOrderOp,
@@ -189,9 +190,7 @@ class TestProperties:
         assert np.max(np.abs(res)) <= 1e-13 * bound
 
     def test_factorization_shared_between_particular_and_homogeneous(self):
-        _first_order_factorization.cache_clear()
-        _second_order_factorization.cache_clear()
-        homogeneous_basis.cache_clear()
+        clear_caches()
         op = OperatorFactorization(
             linear=(FirstOrderOp(7.0), FirstOrderOp(-3.0)), quadratic=(SecondOrderOp(1.0, 2.0),)
         )

@@ -1,0 +1,81 @@
+"""The package root: the library API it exports, and its one cache clear."""
+
+import importlib
+
+import numpy as np
+import pytest
+
+import chebbvp
+from chebbvp import diffmat, factored, integration
+
+LIBRARY_API = {
+    # problem types
+    "OperatorFactorization", "FirstOrderOp", "SecondOrderOp", "AffineConvectionOp", "BoundaryCondition",
+    "PiecewiseGrid", "ChebCoeffs", "GridValues", "ProblemSpec",
+    # entry points
+    "solve_bvp", "piecewise_solve_spectral", "piecewise_solve_diffmat", "parse_problem", "load_problem",
+    # results and their readers
+    "Solution", "PiecewiseSolution", "SingularSystemError", "to_values", "to_coeffs", "eval_series", "cheb_points",
+    "sample_piecewise", "overshoot",
+    # the fig. 2 spectrum
+    "dense_export", "singular_spectrum", "SpectrumReport",
+    # the solver caches
+    "clear_caches",
+}
+
+# building blocks that live in their modules only, as "module.name"
+MODULE_ONLY = [
+    "banded.BandedFactorization",
+    "banded.BandedMatrix",
+    "banded.banded_factor",
+    "banded.banded_solve",
+    "chebyshev.ChebGrid",
+    "chebyshev.dense_sample",
+    "chebyshev.double_integrate_coeffs",
+    "chebyshev.function_to_coeffs",
+    "chebyshev.integrate_coeffs",
+    "diagnostics.condition_vs_parameter",
+    "diagnostics.jacobi_svd",
+    "diagnostics.spectrum_csv",
+    "diffmat.diff_endpoint_row",
+    "factored.fit_boundary",
+    "factored.solve_chains",
+    "integration.first_order_particular",
+    "integration.second_order_particular",
+    "piecewise.eval_piecewise",
+    "problems.exact_function",
+]
+
+CACHES = (
+    integration._first_order_factorization,
+    integration._second_order_factorization,
+    diffmat.diff_endpoint_row,
+    factored.homogeneous_basis,
+)
+
+
+def test_root_exports_the_library_api():
+    assert len(chebbvp.__all__) == len(LIBRARY_API) == 27
+    assert set(chebbvp.__all__) == LIBRARY_API
+    for name in chebbvp.__all__:
+        assert getattr(chebbvp, name).__module__.startswith("chebbvp")
+
+
+@pytest.mark.parametrize("qualname", MODULE_ONLY)
+def test_lives_in_its_module_only(qualname):
+    module, name = qualname.split(".")
+    assert callable(getattr(importlib.import_module(f"chebbvp.{module}"), name))
+    assert name not in chebbvp.__all__
+    assert not hasattr(chebbvp, name)
+
+
+def test_clear_caches_empties_every_solver_cache():
+    op = factored.OperatorFactorization(
+        linear=(integration.FirstOrderOp(3.0),), quadratic=(integration.SecondOrderOp(1.0, 2.0),)
+    )
+    bc = factored.BoundaryCondition
+    chebbvp.solve_bvp(op, np.cos, [bc.dirichlet(-1, 0.0), bc.dirichlet(1, 0.0), bc.derivative(-1, 1, 0.0)], m=32)
+    diffmat.diff_endpoint_row(32, 1)
+    assert all(cache.cache_info().currsize > 0 for cache in CACHES)
+    chebbvp.clear_caches()
+    assert [cache.cache_info().currsize for cache in CACHES] == [0, 0, 0, 0]
