@@ -10,6 +10,14 @@ coefficient is always suppressed (``a[M] = 0`` is enforced on every
 construction).  Grid points are ``y_j = cos(j pi / M)``, descending from +1
 to -1.
 
+A coefficient vector also carries its support, a length s <= M with
+``a[s:]`` all +0.0 bit for bit: -0.0 and NaN lie inside it.  The public
+constructor finds s by one scan; the solvers hand over s where they already
+know it.  Steps that only carry zeros past s (the integration stencils, the
+chain combination, the evaluation) work on ``a[:s]`` and write +0.0 past
+their rows, bitwise what the full-length formulas give.  Endpoint reads stay
+full length: numpy's pairwise sum groups its terms by the array's length.
+
 Transforms between grid values and coefficients are DCT-I pairs:
 
     a_j = (2/M) * sum''_{k=0}^{M} v_k cos(j k pi / M)
@@ -33,6 +41,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr, dtype=float).copy()
     out.setflags(write=False)
     return out
+
+
+def _frozen(cls, **fields):
+    """An instance of cls around read-only arrays the caller has just made and gives up: no copy, no checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _support(a: np.ndarray) -> int:
+    """One past the last entry of a whose bits are not those of +0.0, 0 if none."""
+    bits = a.view(np.int64)
+    n = len(bits)
+    # a dense vector costs no scan, nor does one of a single parity, whose last entry is an exact zero
+    if n and bits[-1]:
+        return n
+    if n > 1 and bits[-2]:
+        return n - 1
+    nonzero = np.flatnonzero(bits)
+    return int(nonzero[-1]) + 1 if len(nonzero) else 0
 
 
 @dataclass(frozen=True)
@@ -71,7 +99,8 @@ def cheb_points(m: int) -> ChebGrid:
     pts[m] = -1.0
     if m % 2 == 0:
         pts[m // 2] = 0.0
-    return ChebGrid(m, pts)
+    pts.setflags(write=False)
+    return _frozen(ChebGrid, m=m, points=pts)
 
 
 @dataclass(frozen=True)
@@ -90,10 +119,14 @@ class GridValues:
 
 @dataclass(frozen=True)
 class ChebCoeffs:
-    """Truncated Chebyshev coefficients a[0..M] with a[M] zeroed on construction."""
+    """Truncated Chebyshev coefficients a[0..M] with a[M] zeroed on construction.
+
+    support is a length s <= M with a[s:] all +0.0 (see the module docstring).
+    """
 
     m: int
     a: np.ndarray = field(repr=False)
+    support: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.a, dtype=float)
@@ -102,6 +135,18 @@ class ChebCoeffs:
         arr[self.m] = 0.0
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
+        object.__setattr__(self, "support", _support(arr[: self.m]))
+
+    @classmethod
+    def _adopt(cls, m: int, a: np.ndarray, support: int | None = None) -> "ChebCoeffs":
+        """Coefficients around a fresh length-(m + 1) float array the caller gives up: no copy.
+
+        a[m] is zeroed here.  A support the caller knows (a[support:] all +0.0,
+        support <= m) saves the scan.
+        """
+        a[m] = 0.0
+        a.setflags(write=False)
+        return _frozen(cls, m=m, a=a, support=_support(a[:m]) if support is None else support)
 
     @staticmethod
     def zeros(m: int) -> "ChebCoeffs":
@@ -117,12 +162,17 @@ class ChebCoeffs:
 
 def to_coeffs(vals: GridValues) -> ChebCoeffs:
     """Interpolation coefficients of grid values; a[M] is forced to zero."""
-    return ChebCoeffs(vals.m, dct(vals.v, type=1) / vals.m)
+    a = dct(vals.v, type=1)
+    a /= vals.m
+    return ChebCoeffs._adopt(vals.m, a)
 
 
 def to_values(coeffs: ChebCoeffs) -> GridValues:
     """Series values at the grid points; exact inverse of to_coeffs on the a[M]=0 subspace."""
-    return GridValues(coeffs.m, dct(coeffs.a, type=1) / 2.0)
+    v = dct(coeffs.a, type=1)
+    v /= 2.0
+    v.setflags(write=False)
+    return _frozen(GridValues, m=coeffs.m, v=v)
 
 
 def sample_function(f: Callable[[np.ndarray], np.ndarray], m: int) -> GridValues:
@@ -139,7 +189,8 @@ def eval_series(coeffs: ChebCoeffs, y):
     """Evaluate the series at y in [-1, 1] by the backward (Clenshaw) recurrence.
 
     Accepts a scalar or an ndarray; no trigonometric calls, which keeps the
-    evaluation accurate near +-1 where boundary layers live.
+    evaluation accurate near +-1 where boundary layers live.  The recurrence
+    starts at the support: rows above it carry b1 = b2 = +0.0.
     """
     yarr = np.asarray(y, dtype=float)
     if not np.all((yarr >= -1.0) & (yarr <= 1.0)):  # NaN included
@@ -148,7 +199,7 @@ def eval_series(coeffs: ChebCoeffs, y):
     b1 = np.zeros_like(yarr)
     b2 = np.zeros_like(yarr)
     two_y = 2.0 * yarr
-    for k in range(coeffs.m, 0, -1):
+    for k in range(coeffs.support - 1, 0, -1):
         b1, b2 = a[k] + two_y * b1 - b2, b1
     out = a[0] / 2.0 + yarr * b1 - b2
     return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
@@ -217,22 +268,32 @@ def double_integrate_coeffs(coeffs: ChebCoeffs) -> ChebCoeffs:
 
 
 def integral_rows(coeffs: ChebCoeffs) -> np.ndarray:
-    """Coefficients n = 1..M-1 of integrate_coeffs, (a_{n-1} - a_{n+1}) / (2n), as an array."""
+    """Coefficients n = 1..M-1 of integrate_coeffs, (a_{n-1} - a_{n+1}) / (2n), as an array.
+
+    Rows past the support s read only +0.0, so rows 1..s are computed and the
+    rest are +0.0: entries [:s] are the only ones that can be nonzero.
+    """
     m, a = coeffs.m, coeffs.a
-    n = np.arange(1, m)
-    return (a[0 : m - 1] - a[2 : m + 1]) / (2.0 * n)
+    s = max(min(coeffs.support, m - 1), 0)
+    out = np.zeros(max(m - 1, 0))
+    np.divide(a[0:s] - a[2 : s + 2], np.arange(2.0, 2 * s + 1, 2.0), out=out[:s])  # 2n, n = 1..s
+    return out
 
 
 def double_integral_rows(coeffs: ChebCoeffs) -> np.ndarray:
-    """Coefficients n = 2..M-1 of double_integrate_coeffs, as an array (empty for M = 1)."""
-    ap = np.concatenate([coeffs.a, [0.0, 0.0]])
-    n = np.arange(2, coeffs.m)
-    k = len(n)
-    return (
-        ap[0:k] / (4.0 * n * (n - 1))
-        - ap[2 : k + 2] / (2.0 * (n * n - 1))
-        + ap[4 : k + 4] / (4.0 * n * (n + 1))
-    )
+    """Coefficients n = 2..M-1 of double_integrate_coeffs, as an array (empty for M = 1).
+
+    As in integral_rows, rows 2..s+1 are computed and the rest are +0.0, so
+    entries [:s] are the only ones that can be nonzero.
+    """
+    s = max(min(coeffs.support, coeffs.m - 2), 0)
+    out = np.zeros(max(coeffs.m - 2, 0))
+    ap = np.concatenate([coeffs.a[: s + 4], [0.0, 0.0]])
+    n = np.arange(2, s + 2)
+    rows = np.divide(ap[0:s], 4.0 * n * (n - 1), out=out[:s])
+    rows -= ap[2 : s + 2] / (2.0 * (n * n - 1))
+    rows += ap[4 : s + 4] / (4.0 * n * (n + 1))
+    return out
 
 
 def dense_sample(coeffs: ChebCoeffs, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,4 +306,4 @@ def dense_sample(coeffs: ChebCoeffs, order: int) -> tuple[np.ndarray, np.ndarray
         return cheb_points(coeffs.m).points, to_values(coeffs).v
     a = np.zeros(order + 1)
     a[: coeffs.m + 1] = coeffs.a
-    return cheb_points(order).points, to_values(ChebCoeffs(order, a)).v
+    return cheb_points(order).points, to_values(ChebCoeffs._adopt(order, a, coeffs.support)).v

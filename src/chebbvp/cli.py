@@ -131,6 +131,17 @@ def builtin_spec_text(name: str) -> str:
     return _SPECS.joinpath(name).read_text(encoding="utf-8")
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a number >= 0, inf included.  error > NaN is False for every error, so NaN is an input error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not tol >= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return tol
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="chebbvp", description="Spectral-integration BVP solver")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -139,7 +150,7 @@ def main(argv=None) -> int:
     p_solve.add_argument("file")
     p_solve.add_argument("--backend", choices=("spectral", "diffmat"))
     p_solve.add_argument("--time", action="store_true", help="report setup/solve timings on stderr")
-    p_solve.add_argument("--tol", type=float, help="exit 1 unless error <= tol")
+    p_solve.add_argument("--tol", type=_tolerance, help="exit 1 unless error <= tol")
 
     p_tables = sub.add_parser("tables", help="reproduce a reference error table as CSV")
     p_tables.add_argument("which", choices=TABLES)

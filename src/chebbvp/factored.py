@@ -185,9 +185,12 @@ def homogeneous_basis(op: OperatorFactorization, m: int) -> HomogeneousBasis:
         for unit, forcing in starts:
             g = np.zeros(m + 1)
             g[: len(forcing)] = forcing
-            a = solve(factor, ChebCoeffs(m, g)).a.copy()
+            u = solve(factor, ChebCoeffs._adopt(m, g, len(forcing)))
+            s = max(u.support, unit + 1)  # the start is u with its T_unit coefficient set to 1
+            a = np.zeros(m + 1)
+            a[:s] = u.a[:s]
             a[unit] = 1.0
-            running.append(ChebCoeffs(m, a))
+            running.append(ChebCoeffs._adopt(m, a, s))
         levels[level] = tuple(running)
     return HomogeneousBasis(levels)
 
@@ -293,9 +296,18 @@ def _read(chain: ChainSolution, level: int, endpoint: int, order: int) -> np.nda
 
 
 def combine(chain: ChainSolution, constants: np.ndarray) -> ChebCoeffs:
-    """u = u_p + sum_j C_j u_bar^j from level 0 of the chains."""
+    """u = u_p + sum_j C_j u_bar^j from level 0 of the chains, summed up to one past their largest support.
+
+    Past it every term is +0.0, unless a constant is not finite: then inf * 0 is NaN there, so the sum is full length.
+    """
     part, *basis = chain.levels[0]
-    return ChebCoeffs(chain.m, part.a + sum(c * b.a for c, b in zip(constants, basis)))
+    m = chain.m
+    n = max(c.support for c in chain.levels[0]) + 1 if all(map(isfinite, constants)) else m + 1
+    a = part.a[:n] + sum(c * b.a[:n] for c, b in zip(constants, basis))
+    if n <= m:
+        a, head = np.zeros(m + 1), a
+        a[:n] = head
+    return ChebCoeffs._adopt(m, a, n - 1)
 
 
 RightHandSide = Union[ChebCoeffs, GridValues, Callable[[np.ndarray], np.ndarray]]

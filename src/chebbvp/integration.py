@@ -51,7 +51,10 @@ underflow threshold instead of a tolerance.  "Normal" is ``not abs(v) <
 tiny``, so NaN and inf always reach the full solve.  On the boundary-layer
 tables the fitted constants are bitwise those of the full solve, and
 coefficients move by less than 1e-280.  The smaller systems' factorizations
-live in the same caches as every other.
+live in the same caches as every other.  After a truncated solve the chain
+carries r + s, with s its last normal entry, as its support
+(``ChebCoeffs.support``), so the stencils, copies and combination that
+follow run on its nonzero prefix rather than on all M + 1 coefficients.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def _second_order_factorization(op: SecondOrderOp, m: int) -> BandedFactorizatio
 
 def first_order_particular(op: FirstOrderOp, f: ChebCoeffs) -> ChebCoeffs:
     """Particular solution of (D - a)u = f with T_0(u) = 0."""
-    return _particular(_first_order_factorization, op, abs(float(op.a)), f.m, integral_rows(f))
+    return _particular(_first_order_factorization, op, abs(float(op.a)), f.m, integral_rows(f), f.support)
 
 
 def second_order_particular(op: SecondOrderOp, f: ChebCoeffs) -> ChebCoeffs:
@@ -148,7 +151,7 @@ def second_order_particular(op: SecondOrderOp, f: ChebCoeffs) -> ChebCoeffs:
     b, c = float(op.b), float(op.c)
     d = cmath.sqrt(b * b - 4.0 * c)
     rho = max(abs(b + d), abs(b - d)) / 2.0  # the largest |root| of s^2 + b s + c
-    return _particular(_second_order_factorization, op, rho, f.m, double_integral_rows(f))
+    return _particular(_second_order_factorization, op, rho, f.m, double_integral_rows(f), f.support)
 
 
 _TINY = np.finfo(float).tiny
@@ -156,34 +159,35 @@ _MARGIN = 2048  # rows solved past the predicted underflow, and required below t
 _ROUND = 4096  # the leading systems' orders are multiples of this, so solves share their factorization
 
 
-def _particular(factorization, op, rho: float, m: int, g: np.ndarray) -> ChebCoeffs:
+def _particular(factorization, op, rho: float, m: int, g: np.ndarray, support: int) -> ChebCoeffs:
     """Coefficients alpha_r..alpha_{M-1} (r = M - len(g)) of op's order-M system with right-hand side g.
 
-    ``factorization(op, order)`` is the cached factorization.  A g that ends
-    below tiny is first solved on its leading K rows, the order-(K + r)
-    system, and that solve is kept if its last 2048 entries are below tiny.
+    ``factorization(op, order)`` is the cached factorization, and g[support:]
+    is all +0.0.  A g that ends below tiny is first solved on its leading K
+    rows, the order-(K + r) system, and that solve is kept if its last 2048
+    entries are below tiny.
     """
     n, r = len(g), m - len(g)
-    a = np.zeros(m + 1)
     # no leading system has fewer than 4096 rows
-    k = _leading_rows(g, rho) if n > _ROUND and abs(g[-1]) < _TINY else n
+    k = _leading_rows(g, min(support, n), rho) if n > _ROUND and abs(g[-1]) < _TINY else n
     if k < n:
         x = banded_solve(factorization(op, k + r), g[:k])
         s = _last_normal(x)
-        if s <= k - _MARGIN:
-            a[r : r + s] = x[:s]
-            return ChebCoeffs(m, a)
-    a[r:m] = banded_solve(factorization(op, m), g)
-    return ChebCoeffs(m, a)
+    if k == n or s > k - _MARGIN:
+        x, s = banded_solve(factorization(op, m), g), n
+    # allocated after the solve: keeping an array allocated before it made warm dense solves page-fault
+    a = np.zeros(m + 1)
+    a[r : r + s] = x[:s]
+    return ChebCoeffs._adopt(m, a, r + s)
 
 
-def _leading_rows(g: np.ndarray, rho: float) -> int:
+def _leading_rows(g: np.ndarray, support: int, rho: float) -> int:
     """K, a multiple of 4096: 2048 rows past both g's last normal entry and the predicted underflow row.
 
-    n, the full system, when K would not be smaller.
+    n = len(g), the full system, when K would not be smaller.  Only g[:support] is read.
     """
-    n = len(g)
-    peak = max(g.max(), -g.min())
+    n, head = len(g), g[:support]
+    peak = max(head.max(initial=0.0), -head.min(initial=0.0))
     if not isfinite(peak):
         return n
     # in logs: peak / tiny overflows
@@ -192,7 +196,7 @@ def _leading_rows(g: np.ndarray, rho: float) -> int:
     k = _underflow_row(rho, budget, top + 1)
     if k > top:
         return n
-    k = max(k, _last_normal(g)) + _MARGIN
+    k = max(k, _last_normal(head)) + _MARGIN
     return -(-k // _ROUND) * _ROUND
 
 
@@ -214,6 +218,8 @@ def _underflow_row(rho: float, budget: float, limit: int) -> int:
 
 def _last_normal(v: np.ndarray) -> int:
     """One past the last entry of v with not abs(.) < tiny (NaN and inf count), 0 if none."""
+    if len(v) == 0:
+        return 0
     normal = ~((v > -_TINY) & (v < _TINY))
     last = int(np.argmax(normal[::-1]))
     return len(v) - last if normal[-1 - last] else 0

@@ -11,9 +11,11 @@ from chebbvp.chebyshev import (
     GridValues,
     cheb_points,
     dense_sample,
+    double_integral_rows,
     double_integrate_coeffs,
     endpoint_derivative,
     eval_series,
+    integral_rows,
     integrate_coeffs,
     to_coeffs,
     to_values,
@@ -27,6 +29,28 @@ def dct1_direct(x):
     w = np.ones(m + 1)
     w[0] = w[m] = 0.5
     return 2.0 * np.cos(np.pi * np.outer(j, j) / m) @ (w * x)
+
+
+def assert_support(c, minimal=True):
+    """c.a[c.support:] is +0.0 bit for bit; with minimal, c.a[c.support - 1] is not."""
+    bits = c.a.view(np.int64)
+    assert 0 <= c.support <= c.m
+    assert not bits[c.support :].any()
+    if minimal:
+        assert c.support == 0 or bits[c.support - 1] != 0
+
+
+def prefix_vector(m, s, seed):
+    """Length-(m + 1) vector, nonzero-looking on [:s] and +0.0 past it, salted with subnormals and -0.0."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros(m + 1)
+    a[:s] = rng.standard_normal(min(s, m + 1))
+    for value in (5e-324, -2.5e-310, -0.0, 1e-300, -0.0):
+        if s:
+            a[rng.integers(s)] = value
+    if s >= 2:
+        a[s - 1] = -0.0 if seed % 2 else -5e-324  # the last entry inside the prefix is a zero or a subnormal
+    return a
 
 
 def coeff_vectors(max_m=32):
@@ -138,6 +162,93 @@ class TestTransforms:
         # a read-only input is copied too, into a fresh read-only array
         again = ChebCoeffs(5, c.a)
         assert not np.shares_memory(again.a, c.a) and not again.a.flags.writeable
+
+
+class TestSupport:
+    def test_constructors_keep_the_support(self):
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 7, 64):
+            for s in sorted({0, 1, m // 2, m, m + 1}):
+                a = prefix_vector(m, s, m + s)
+                c = ChebCoeffs(m, a)
+                assert_support(c)
+                np.testing.assert_array_equal(c.a.view(np.int64)[: c.support], a.view(np.int64)[: c.support])
+            assert_support(ChebCoeffs.zeros(m))
+            assert ChebCoeffs.zeros(m).support == 0
+            for n in range(m):
+                assert_support(ChebCoeffs.unit(m, n, -0.5))
+                assert ChebCoeffs.unit(m, n).support == n + 1
+            assert_support(to_coeffs(GridValues(m, rng.standard_normal(m + 1))))
+            assert_support(to_coeffs(GridValues(m, np.zeros(m + 1))))
+
+    def test_negative_zero_lies_inside_the_support(self):
+        assert ChebCoeffs(4, np.array([1.0, -0.0, 0.0, 0.0, 0.0])).support == 2
+        assert ChebCoeffs(4, np.array([0.0, 0.0, 0.0, 0.0, 5.0])).support == 0  # a[M] is zeroed
+        assert ChebCoeffs(4, np.array([0.0, 0.0, np.nan, 0.0, 0.0])).support == 3
+
+    def test_constant_function_has_a_short_support(self):
+        c = to_coeffs(GridValues(4096, np.full(4097, 3.0)))
+        assert_support(c)
+        assert c.a[0] == 6.0
+
+
+def integral_rows_full(c):
+    """integral_rows over every row, the full-length formula."""
+    m, a = c.m, c.a
+    n = np.arange(1, m)
+    return (a[0 : m - 1] - a[2 : m + 1]) / (2.0 * n)
+
+
+def double_integral_rows_full(c):
+    """double_integral_rows over every row, the full-length formula."""
+    ap = np.concatenate([c.a, [0.0, 0.0]])
+    n = np.arange(2, c.m)
+    k = len(n)
+    return ap[0:k] / (4.0 * n * (n - 1)) - ap[2 : k + 2] / (2.0 * (n * n - 1)) + ap[4 : k + 4] / (4.0 * n * (n + 1))
+
+
+@pytest.mark.parametrize("m", [*range(1, 10), 8192, 131072])
+def test_support_limited_stencils_are_the_full_formulas_bitwise(m):
+    """The stencils compute rows on the support only, and write +0.0 past them.
+
+    Sign-of-zero rule: the support ends after the last entry whose bits are
+    not +0.0, so -0.0 and subnormals lie inside it and the tail is +0.0.
+    There the full formulas give (+0 - +0) / (2n) = +0.0 and
+    +0/d1 - +0/d2 + +0/d3 = +0.0, so every row, and every sign of zero,
+    matches bit for bit.  A stated support longer than the scanned one
+    (as the solvers may hand over) computes more rows by the same expressions.
+    """
+    for s in sorted({0, 1, 2, m // 2, m - 2, m - 1, m, m + 1} & set(range(m + 2))):
+        a = prefix_vector(m, s, 1000 * m + s)
+        scanned = ChebCoeffs(m, a)
+        stated = [ChebCoeffs._adopt(m, a.copy(), min(t, m)) for t in (s, s + 3)]
+        for c in (scanned, *stated):
+            assert integral_rows(c).tobytes() == integral_rows_full(c).tobytes(), (s, c.support)
+            assert double_integral_rows(c).tobytes() == double_integral_rows_full(c).tobytes(), (s, c.support)
+
+
+def clenshaw_full(c, y):
+    """eval_series's recurrence started at k = M, over every row."""
+    yarr = np.asarray(y, dtype=float)
+    b1 = np.zeros_like(yarr)
+    b2 = np.zeros_like(yarr)
+    for k in range(c.m, 0, -1):
+        b1, b2 = c.a[k] + 2.0 * yarr * b1 - b2, b1
+    return c.a[0] / 2.0 + yarr * b1 - b2
+
+
+def test_eval_series_from_the_support_is_the_full_recurrence_bitwise():
+    # rows above the support carry b1 = b2 = +0.0, so starting there changes no bit, zeros' signs included
+    rng = np.random.default_rng(17)
+    ys = np.array([1.0, -1.0, 0.0, -0.0, 0.5, -0.3, 1.0 - 2.0**-52, -1.0 + 2.0**-53])
+    for i, m in enumerate([1, 2, 3, 4, 5, 8, 9, 16, 33, 64, 100, 257, 1024, 4096] * 2 + [4096, 4096]):
+        s = int(rng.integers(0, m + 2)) if i < 28 else (0 if i == 28 else m)
+        c = ChebCoeffs(m, prefix_vector(m, s, i))
+        assert eval_series(c, ys).tobytes() == clenshaw_full(c, ys).tobytes(), (m, s)
+        for y in ys:
+            got = eval_series(c, float(y))
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(clenshaw_full(c, float(y))).tobytes(), (m, s, y)
 
 
 class TestEvalSeries:

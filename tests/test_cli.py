@@ -475,6 +475,20 @@ class TestMain:
         path = self._spec_path(tmp_path, builtin_spec_text("table1b.spec"))
         assert main(["solve", path, "--tol", "1e-30"]) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-0.5"])
+    def test_solve_nan_or_negative_tolerance_exits_2(self, capsys, tol):
+        # error > nan is False whatever the error, so a NaN tolerance would always pass
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", str(SPECS / "table1a.spec"), "--tol", tol])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tol: expected a number >= 0, got '{tol}'" in captured.err
+
+    def test_solve_infinite_tolerance_passes(self, capsys):
+        assert main(["solve", str(SPECS / "table1a.spec"), "--tol", "inf"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("spectral,8192,")
+
     def test_solve_tolerance_failure_on_nan_error(self, tmp_path, capsys):
         # the right-hand side overflows to inf, so the solution and its error are NaN
         text = MINIMAL_FIRST_ORDER.replace("const:0", "1e308*one + 1e308*one") + "[exact]\nname = const:0\n"

@@ -17,8 +17,17 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from chebbvp import factored, integration
-from chebbvp.chebyshev import ChebCoeffs, cheb_points, double_integral_rows, to_values
+from chebbvp import factored, integration, piecewise
+from chebbvp.chebyshev import (
+    ChebCoeffs,
+    GridValues,
+    _support,
+    cheb_points,
+    double_integral_rows,
+    integral_rows,
+    to_coeffs,
+    to_values,
+)
 from chebbvp.cli import builtin_spec_text, main, sweep_cell
 from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
 from chebbvp.integration import (
@@ -42,8 +51,11 @@ def full_solve(f, rhs):
     return x[:, 0]
 
 
-def full_particular(factorization, op, rho, m, g):
-    """integration._particular as it was before the truncation: one dgbtrs on the order-M factorization."""
+def full_particular(factorization, op, rho, m, g, support):
+    """integration._particular as it was before the truncation: one dgbtrs on the order-M factorization.
+
+    support, g[support:] all +0.0, is not used: every row of g is solved.
+    """
     a = np.zeros(m + 1)
     a[m - len(g) : m] = full_solve(factorization(op, m), g)
     return ChebCoeffs(m, a)
@@ -51,7 +63,7 @@ def full_particular(factorization, op, rho, m, g):
 
 def chain_and_full(g, a=1e4, m=65536):
     """The chain solve of rows g through (D - a) on the order-m grid, and the full solve, as level arrays."""
-    args = (_first_order_factorization, FirstOrderOp(a), abs(a), m, g)
+    args = (_first_order_factorization, FirstOrderOp(a), abs(a), m, g, _support(g))
     return integration._particular(*args).a[1:m], full_particular(*args).a[1:m]
 
 
@@ -60,6 +72,12 @@ def layer_rows(m=65536):
     g = np.zeros(m - 1)
     g[0] = 1.0
     return g
+
+
+def assert_zero_past_support(c):
+    """c.a[c.support:] is +0.0 bit for bit, and support <= M."""
+    assert 0 <= c.support <= c.m
+    assert not c.a.view(np.int64)[c.support :].any()
 
 
 def has_subnormals(x):
@@ -180,6 +198,58 @@ class TestTruncatedSolve:
             np.testing.assert_array_equal(small.ipiv, big.ipiv[:k])
         else:
             assert not np.array_equal(small.lu[inside], big.lu[:, :k][inside])
+
+
+class TestSupport:
+    """Every chain producer hands over a support past which its coefficients are +0.0."""
+
+    @pytest.mark.parametrize(
+        "op, particular, factorization, stencil",
+        [
+            (FirstOrderOp(1e4), first_order_particular, _first_order_factorization, integral_rows),
+            (SecondOrderOp(0.0, -1e8), second_order_particular, _second_order_factorization, double_integral_rows),
+        ],
+    )
+    def test_truncated_and_full_particular_solves(self, monkeypatch, op, particular, factorization, stencil):
+        m = 65536
+        sizes, solve = [], integration.banded_solve
+        monkeypatch.setattr(integration, "banded_solve", lambda fac, rhs: sizes.append(fac.n) or solve(fac, rhs))
+        truncated = particular(op, ChebCoeffs.unit(m, 0))
+        assert sizes[-1] < m - 2 and truncated.support < 8192  # the leading solve was kept
+        assert_zero_past_support(truncated)
+        dense = ChebCoeffs(m, np.random.default_rng(3).standard_normal(m + 1))
+        full = particular(op, dense)
+        assert sizes[-1] == len(stencil(dense))  # the order-M system
+        assert_zero_past_support(full)
+        assert full.support == m
+        assert full.a.tobytes() == full_particular(factorization, op, 0.0, m, stencil(dense), m).a.tobytes()
+
+    @pytest.mark.parametrize("kind", ["1a", "1c", "1e_linear", "1e_quadratic"])
+    @pytest.mark.parametrize("m", [8192, 65536])
+    def test_homogeneous_starts_chains_and_combination(self, kind, m):
+        op, f, bcs, _ = layer_problem(kind, 1e4)
+        factored.homogeneous_basis.cache_clear()
+        sol = solve_bvp(op, f, bcs, m=m)
+        chains = [c for level in sol.chain.levels.values() for c in level]
+        for c in chains + [sol.coeffs]:
+            assert_zero_past_support(c)
+        assert sol.coeffs.support == max(c.support for c in sol.chain.levels[0])
+        if m == 65536:  # the chains truncated, and the combination kept their short support
+            assert sol.coeffs.support < m // 4
+        factored.homogeneous_basis.cache_clear()
+
+    def test_piecewise_scaled_rhs_that_underflows(self, monkeypatch):
+        # on a width-2e-150 interval the order-2 scale h^2 = 1e-300 takes the right-hand side's 1e-30 to zero
+        grid = piecewise.PiecewiseGrid(np.array([-1.0, 0.0, 2e-150, 1.0]), (16, 16, 16))
+        seen, solve = [], piecewise.solve_chains
+        monkeypatch.setattr(piecewise, "solve_chains", lambda op, f: seen.append(f) or solve(op, f))
+        op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, -1.0),))
+        D = BoundaryCondition.dirichlet
+        piecewise.piecewise_solve_spectral(op, lambda y: np.full_like(y, 1e-30), grid, [D(-1, 0.0), D(1, 0.0)])
+        fc = to_coeffs(GridValues(16, np.full(17, 1e-30)))
+        assert fc.support > 0 and seen[1].support == 0 and not np.any(seen[1].a)
+        for f in seen:
+            assert_zero_past_support(f)
 
 
 def full_then_truncated(solve):
