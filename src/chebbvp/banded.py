@@ -31,7 +31,7 @@ class SingularSystemError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandedMatrix:
     """Square banded matrix: n, bandwidths kl/ku, diagonal-major storage."""
 
@@ -75,7 +75,7 @@ class BandedMatrix:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandedFactorization:
     """LU factors of a banded matrix; reusable for many right-hand sides."""
 

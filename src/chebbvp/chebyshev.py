@@ -63,7 +63,7 @@ def _support(a: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if len(nonzero) else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebGrid:
     """Chebyshev grid of order M: the M+1 points cos(j pi / M), descending."""
 
@@ -77,11 +77,11 @@ class ChebGrid:
         object.__setattr__(self, "points", _readonly(pts))
 
 
-def grid_order(m) -> int:
-    """m as an int: 16 and 16.0 pass, 16.9 raises ValueError rather than being truncated."""
+def grid_order(m, what: str = "grid order") -> int:
+    """m as an int: 16 and 16.0 pass, 16.9 raises ValueError naming what rather than being truncated."""
     if isinstance(m, numbers.Integral) or (isinstance(m, numbers.Real) and float(m).is_integer()):
         return int(m)
-    raise ValueError(f"grid order {m} is not an integer")
+    raise ValueError(f"{what} {m} is not an integer")
 
 
 def cheb_points(m: int) -> ChebGrid:
@@ -103,7 +103,7 @@ def cheb_points(m: int) -> ChebGrid:
     return _frozen(ChebGrid, m=m, points=pts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridValues:
     """Function values at the m+1 Chebyshev points (descending from +1)."""
 
@@ -117,7 +117,7 @@ class GridValues:
         object.__setattr__(self, "v", _readonly(vals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebCoeffs:
     """Truncated Chebyshev coefficients a[0..M] with a[M] zeroed on construction.
 
@@ -126,7 +126,7 @@ class ChebCoeffs:
 
     m: int
     a: np.ndarray = field(repr=False)
-    support: int = field(init=False, repr=False, compare=False)
+    support: int = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.a, dtype=float)

@@ -36,7 +36,7 @@ _DENSE_LIMIT = 2048
 _LOCAL_HEAD = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Singular values (descending), condition number, optional vectors."""
 

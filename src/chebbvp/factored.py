@@ -38,7 +38,16 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .banded import SingularSystemError, dense_solve
-from .chebyshev import ChebCoeffs, GridValues, apply_endpoint_row, endpoint_row, function_to_coeffs, to_coeffs
+from .chebyshev import (
+    ChebCoeffs,
+    GridValues,
+    apply_endpoint_row,
+    endpoint_row,
+    function_to_coeffs,
+    grid_order,
+    to_coeffs,
+)
+from .diffmat import AffineConvectionOp
 from .integration import FirstOrderOp, SecondOrderOp, first_order_particular, second_order_particular
 
 
@@ -71,7 +80,7 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.endpoint not in (-1, 1):
             raise ValueError("endpoint must be -1 or +1")
-        ws = tuple((int(d), float(w)) for d, w in self.weights)
+        ws = tuple((grid_order(d, "derivative order"), float(w)) for d, w in self.weights)
         if not ws or all(w == 0.0 for _, w in ws):
             raise ValueError("boundary condition needs a nonzero weight")
         if any(d < 0 for d, _ in ws):
@@ -121,7 +130,7 @@ class HomogeneousBasis:
         return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSolution:
     """Particular and homogeneous chains of one operator on one grid.
 
@@ -139,13 +148,12 @@ class ChainSolution:
     basis: HomogeneousBasis = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
-    """Boundary-fitted solution u = u_p + sum_j C_j u_bar^j."""
+    """Boundary-fitted solution u = u_p + sum_j C_j u_bar^j; the chains stay inside the solve."""
 
     coeffs: ChebCoeffs
     constants: np.ndarray = field(repr=False)
-    chain: ChainSolution = field(repr=False)
 
 
 def _factor_steps(op: OperatorFactorization):
@@ -221,9 +229,9 @@ def check_boundary_conditions(bcs: list[BoundaryCondition], r: int):
 
 
 def fit_boundary(chain: ChainSolution, bcs: list[BoundaryCondition]) -> Solution:
-    """Fit the r combination constants to r boundary conditions."""
+    """Fit the r combination constants to r boundary conditions: the combined series and its constants."""
     constants = fit_constants([chain], [1.0], bcs)[0]
-    return Solution(combine(chain, constants), constants, chain)
+    return Solution(combine(chain, constants), constants)
 
 
 def fit_constants(
@@ -314,6 +322,8 @@ RightHandSide = Union[ChebCoeffs, GridValues, Callable[[np.ndarray], np.ndarray]
 
 
 def _as_coeffs(f: RightHandSide, m: int | None) -> ChebCoeffs:
+    if isinstance(f, (ChebCoeffs, GridValues)) and m is not None and m != f.m:
+        raise ValueError(f"grid order m = {m} differs from the right-hand side's order {f.m}")
     if isinstance(f, ChebCoeffs):
         return f
     if isinstance(f, GridValues):
@@ -325,7 +335,14 @@ def _as_coeffs(f: RightHandSide, m: int | None) -> ChebCoeffs:
     raise TypeError(f"unsupported right-hand side {type(f).__name__}")
 
 
+def check_factored(op):
+    """The spectral path solves factored operators; the affine-convection operator has no factors."""
+    if isinstance(op, AffineConvectionOp):
+        raise ValueError("the affine-convection operator requires the diffmat backend")
+
+
 def _check_order(op: OperatorFactorization, m: int):
+    check_factored(op)
     if m < op.order + 3:
         raise ValueError(f"order-{op.order} factored solve needs M >= {op.order + 3}, got {m}")
 

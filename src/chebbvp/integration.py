@@ -196,8 +196,8 @@ def _leading_rows(g: np.ndarray, support: int, rho: float) -> int:
     k = _underflow_row(rho, budget, top + 1)
     if k > top:
         return n
-    k = max(k, _last_normal(head)) + _MARGIN
-    return -(-k // _ROUND) * _ROUND
+    k = max(k, _last_normal(head)) + _MARGIN  # past n when g is normal near its end
+    return min(-(-k // _ROUND) * _ROUND, n)
 
 
 def _underflow_row(rho: float, budget: float, limit: int) -> int:

@@ -52,6 +52,7 @@ from .factored import (
     BoundaryCondition,
     OperatorFactorization,
     check_boundary_conditions,
+    check_factored,
     combine,
     fit_constants,
     solve_chains,
@@ -67,7 +68,7 @@ _MAX_UNKNOWNS = 2 * _MAX_DENSE_ORDER + 1
 PiecewiseRhs = Union[Callable[[np.ndarray], np.ndarray], Sequence[GridValues]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseGrid:
     """Nodes eta_0 < ... < eta_n and the grid order of each interval."""
 
@@ -106,7 +107,7 @@ class PiecewiseGrid:
         return mid + half * cheb_points(self.orders[i]).points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseSolution:
     """Per-interval local series; constants are None for the values backend."""
 
@@ -117,6 +118,7 @@ class PiecewiseSolution:
 
 def rescale_operator(op: OperatorFactorization, w: float) -> tuple[OperatorFactorization, float]:
     """Operator and right-hand-side scale after mapping a width-w interval to [-1, 1]."""
+    check_factored(op)
     if w <= 0:
         raise ValueError("interval width must be positive")
     h = w / 2.0

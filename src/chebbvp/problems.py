@@ -67,7 +67,7 @@ class ProblemFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sweep:
     """[sweep]: the CSV header, (label, grid) rows and (backend, operator, overshoot) columns."""
 
@@ -76,7 +76,7 @@ class Sweep:
     columns: tuple[tuple[str, OperatorFactorization | AffineConvectionOp, bool], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     operator: OperatorFactorization | AffineConvectionOp
     rhs: Callable[[np.ndarray], np.ndarray] = field(repr=False)

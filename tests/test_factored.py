@@ -1,25 +1,30 @@
 """Factored-form solver: chain examples, paper table values, cancellation."""
 
 import sys
+import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from chebbvp import factored, piecewise
+from chebbvp import clear_caches, factored, piecewise
 from chebbvp.banded import SingularSystemError, dense_solve
 from chebbvp.chebyshev import (
     to_coeffs,
     ChebCoeffs,
+    GridValues,
     apply_endpoint_row,
     cheb_points,
     endpoint_row,
     function_to_coeffs,
     to_values,
 )
+from chebbvp.diffmat import AffineConvectionOp
 from chebbvp.factored import (
     BoundaryCondition,
     OperatorFactorization,
+    fit_boundary,
     homogeneous_basis,
     solve_bvp,
     solve_chains,
@@ -396,6 +401,26 @@ class TestSolveBvp:
         with pytest.raises(ValueError, match="m is required"):
             solve_bvp(op, lambda y: np.zeros_like(y), [dirichlet(-1, 0.0)])
 
+    @pytest.mark.parametrize("f, m", [(GridValues(4, np.ones(5)), 8), (ChebCoeffs.zeros(8), 16)])
+    def test_grid_order_other_than_the_right_hand_sides(self, f, m):
+        op = OperatorFactorization(linear=(FirstOrderOp(1.0),))
+        with pytest.raises(ValueError, match=f"m = {m} differs from the right-hand side's order {f.m}"):
+            solve_bvp(op, f, [dirichlet(-1, 0.0)], m=m)
+        assert solve_bvp(op, f, [dirichlet(-1, 0.0)], m=float(f.m)).coeffs.m == f.m
+
+    def test_non_integral_derivative_order(self):
+        with pytest.raises(ValueError, match="derivative order 0.5 is not an integer"):
+            BoundaryCondition(-1, ((0.5, 1.0),), 0.0)
+        assert BoundaryCondition(-1, ((1.0, 1.0),), 0.0).weights == BoundaryCondition(-1, ((1, 1.0),), 0.0).weights
+
+    def test_affine_convection_operator_is_not_factored(self):
+        op = AffineConvectionOp(1.0, 0.0, 1.0, 0.0)
+        bcs = [dirichlet(-1, 0.0), dirichlet(1, 0.0)]
+        with pytest.raises(ValueError, match="the affine-convection operator requires the diffmat backend"):
+            solve_bvp(op, np.cos, bcs, m=16)
+        with pytest.raises(ValueError, match="the affine-convection operator requires the diffmat backend"):
+            piecewise_solve_spectral(op, np.cos, PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (16, 16)), bcs)
+
 
 def reference_boundary_rows(chains, halves, bcs):
     """The fit's boundary rows from the closed-form rows T_n^(d)(+-1) on level 0 of each end interval."""
@@ -444,11 +469,20 @@ def assert_boundary_rows_match(mat, rhs, chains, halves, bcs):
 def assert_solutions_equal(a, b):
     np.testing.assert_array_equal(a.coeffs.a, b.coeffs.a)
     np.testing.assert_array_equal(a.constants, b.constants)
-    assert a.chain.levels.keys() == b.chain.levels.keys()
-    for k, row in a.chain.levels.items():
-        assert len(row) == len(b.chain.levels[k])
-        for x, y in zip(row, b.chain.levels[k]):
+
+
+def assert_chains_equal(a, b):
+    assert a.levels.keys() == b.levels.keys()
+    for k, row in a.levels.items():
+        assert len(row) == len(b.levels[k])
+        for x, y in zip(row, b.levels[k]):
             np.testing.assert_array_equal(x.a, y.a)
+
+
+def chain_and_solution(op, f, bcs, m):
+    """What solve_bvp(op, f, bcs, m) runs, with the chains it fits."""
+    chain = solve_chains(op, function_to_coeffs(f, m))
+    return chain, fit_boundary(chain, bcs)
 
 
 class TestHomogeneousBasisCache:
@@ -459,11 +493,13 @@ class TestHomogeneousBasisCache:
         rhs = lambda y: np.cos(3 * y) + y**2
         bcs = table_1e_bcs()
         homogeneous_basis.cache_clear()
-        cold = solve_bvp(op, rhs, bcs, m=64)
-        warm = solve_bvp(op, rhs, bcs, m=64)
+        cold_chain, cold = chain_and_solution(op, rhs, bcs, 64)
+        warm_chain, warm = chain_and_solution(op, rhs, bcs, 64)
         assert homogeneous_basis.cache_info().hits == 1
-        assert warm.chain.basis is cold.chain.basis
+        assert warm_chain.basis is cold_chain.basis
+        assert_chains_equal(warm_chain, cold_chain)
         assert_solutions_equal(warm, cold)
+        assert_solutions_equal(solve_bvp(op, rhs, bcs, m=64), cold)
 
     def test_conditions_differing_in_order_weight_or_endpoint(self, fit_systems):
         # every condition below differs from another in one of endpoint, order
@@ -479,9 +515,9 @@ class TestHomogeneousBasisCache:
         ]
         homogeneous_basis.cache_clear()
         for bcs in condition_sets:
-            sol = solve_bvp(MANUFACTURED_OP, manufactured_f, bcs, m=48)
+            chain, sol = chain_and_solution(MANUFACTURED_OP, manufactured_f, bcs, 48)
             mat, rhs = fit_systems[-1]
-            ref_mat, ref_rhs = assert_boundary_rows_match(mat, rhs, [sol.chain], [1.0], bcs)
+            ref_mat, ref_rhs = assert_boundary_rows_match(mat, rhs, [chain], [1.0], bcs)
             if np.array_equal(mat, ref_mat) and np.array_equal(rhs, ref_rhs):
                 np.testing.assert_array_equal(sol.constants, dense_solve(ref_mat, ref_rhs))
             else:
@@ -513,20 +549,39 @@ class TestHomogeneousBasisCache:
 
     def test_cached_arrays_are_read_only_and_one_entry_is_kept(self):
         homogeneous_basis.cache_clear()
-        first = solve_bvp(MIXED_OP, np.cos, table_1e_bcs(), m=32)
+        chain, first = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 32)
         basis = homogeneous_basis(MIXED_OP, 32)
-        assert first.chain.basis is basis
+        assert chain.basis is basis
         for row in basis.levels.values():
             assert all(not c.a.flags.writeable for c in row)
         # u and u' at both ends read level 0 at orders 0 and 1, and nothing else
         assert set(basis._reads) == {(0, end, order) for end in (-1, 1) for order in (0, 1)}
         assert all(not vals.flags.writeable for vals in basis._reads.values())
         assert basis.read(0, 1, 1, endpoint_row(32, 1, 1)) is basis._reads[0, 1, 1]
-        second = solve_bvp(MIXED_OP, np.cos, table_1e_bcs(), m=40)
+        second, _ = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 40)
         assert homogeneous_basis.cache_info().currsize == 1
-        assert second.chain.basis is not basis
-        # the evicted basis still serves the solution that holds it
+        assert second.basis is not basis
+        # the evicted basis is freed while the solution lives, and a re-solve rebuilds it bitwise
+        evicted = weakref.ref(basis)
+        del chain, basis
+        assert evicted() is None
         assert_solutions_equal(solve_bvp(MIXED_OP, np.cos, table_1e_bcs(), m=32), first)
+
+    def test_kept_results_hold_only_their_coefficients(self):
+        # after the caches are cleared, results keep neither their chains nor the basis
+        op, m = fourth_order_ops(30.0, 60.0)[0], 16384
+        clear_caches()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [solve_bvp(op, lambda y, k=k: np.cos(k * y), table_1e_bcs(), m=m) for k in range(5)]
+            basis = weakref.ref(homogeneous_basis(op, m))
+            clear_caches()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert basis() is None
+        assert held < 1.5 * sum(sol.coeffs.a.nbytes for sol in kept)
 
     def test_concurrent_solves_match_serial_solves(self):
         # threads race on the one cache entry and its read memo; every

@@ -1,12 +1,13 @@
-"""The package root: the library API it exports, and its one cache clear."""
+"""The package root: the library API it exports, its one cache clear, and how its types compare."""
 
+import copy
 import importlib
 
 import numpy as np
 import pytest
 
 import chebbvp
-from chebbvp import diffmat, factored, integration
+from chebbvp import banded, chebyshev, cli, diffmat, factored, integration
 
 LIBRARY_API = {
     # problem types
@@ -79,3 +80,34 @@ def test_clear_caches_empties_every_solver_cache():
     assert all(cache.cache_info().currsize > 0 for cache in CACHES)
     chebbvp.clear_caches()
     assert [cache.cache_info().currsize for cache in CACHES] == [0, 0, 0, 0]
+
+
+OP = factored.OperatorFactorization(linear=(integration.FirstOrderOp(3.0),))
+BAND = banded.BandedMatrix.from_diagonals(3, 1, 1, {0: np.ones(3)})
+TABLE3 = chebbvp.parse_problem(cli.builtin_spec_text("table3.spec"))
+
+# one value of each type that holds arrays, callables or such types
+ARRAY_HOLDERS = {
+    "ChebGrid": lambda: chebbvp.cheb_points(8),
+    "GridValues": lambda: chebbvp.GridValues(4, np.ones(5)),
+    "ChebCoeffs": lambda: chebbvp.ChebCoeffs.zeros(8),
+    "BandedMatrix": lambda: BAND,
+    "BandedFactorization": lambda: banded.banded_factor(BAND),
+    "ChainSolution": lambda: factored.solve_chains(OP, chebyshev.function_to_coeffs(np.cos, 8)),
+    "Solution": lambda: chebbvp.solve_bvp(OP, np.cos, [factored.BoundaryCondition.dirichlet(-1, 0.0)], m=8),
+    "PiecewiseGrid": lambda: TABLE3.grid,
+    "PiecewiseSolution": lambda: cli.run(TABLE3).solution,
+    "SpectrumReport": lambda: chebbvp.singular_spectrum(chebbvp.dense_export(integration.FirstOrderOp(3.0), 8)),
+    "RunReport": lambda: cli.run(TABLE3),
+    "ProblemSpec": lambda: TABLE3,
+    "Sweep": lambda: TABLE3.sweep,
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(name):
+    x = ARRAY_HOLDERS[name]()
+    assert type(x).__name__ == name
+    assert x == x
+    assert x != copy.copy(x)
+    hash(x)

@@ -24,12 +24,13 @@ from chebbvp.chebyshev import (
     _support,
     cheb_points,
     double_integral_rows,
+    function_to_coeffs,
     integral_rows,
     to_coeffs,
     to_values,
 )
 from chebbvp.cli import builtin_spec_text, main, sweep_cell
-from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
+from chebbvp.factored import BoundaryCondition, OperatorFactorization, fit_boundary, solve_chains
 from chebbvp.integration import (
     FirstOrderOp,
     SecondOrderOp,
@@ -99,6 +100,13 @@ class TestTruncatedSolve:
 
     def test_normal_last_entry_is_the_full_solve(self):
         g = np.random.default_rng(11).standard_normal(65535)
+        x, full = chain_and_full(g)
+        np.testing.assert_array_equal(x, full)
+
+    def test_normal_entries_past_the_last_leading_system_are_the_full_solve(self):
+        # g ends in +0.0 but is normal up to its last row but one: K would exceed n, so the solve is the full one
+        g = np.random.default_rng(11).standard_normal(65535)
+        g[-1] = 0.0
         x, full = chain_and_full(g)
         np.testing.assert_array_equal(x, full)
 
@@ -229,11 +237,11 @@ class TestSupport:
     def test_homogeneous_starts_chains_and_combination(self, kind, m):
         op, f, bcs, _ = layer_problem(kind, 1e4)
         factored.homogeneous_basis.cache_clear()
-        sol = solve_bvp(op, f, bcs, m=m)
-        chains = [c for level in sol.chain.levels.values() for c in level]
+        chain, sol = chain_and_solution(op, f, bcs, m)
+        chains = [c for level in chain.levels.values() for c in level]
         for c in chains + [sol.coeffs]:
             assert_zero_past_support(c)
-        assert sol.coeffs.support == max(c.support for c in sol.chain.levels[0])
+        assert sol.coeffs.support == max(c.support for c in chain.levels[0])
         if m == 65536:  # the chains truncated, and the combination kept their short support
             assert sol.coeffs.support < m // 4
         factored.homogeneous_basis.cache_clear()
@@ -298,9 +306,15 @@ def layer_problem(kind, a):
     return op, lambda y: np.full_like(y, a * a * b * b), clamped, exact_function(f"cosh_pair:{a!r}:{b!r}")
 
 
-def subnormals(sol):
-    """Nonzero entries below tiny in every chain level of a solution."""
-    return sum(int(np.count_nonzero((c.a != 0) & (abs(c.a) < TINY))) for lv in sol.chain.levels.values() for c in lv)
+def chain_and_solution(op, f, bcs, m):
+    """What solve_bvp(op, f, bcs, m) runs, with the chains it fits."""
+    chain = solve_chains(op, function_to_coeffs(f, m))
+    return chain, fit_boundary(chain, bcs)
+
+
+def subnormals(chain):
+    """Nonzero entries below tiny in every level of the chains."""
+    return sum(int(np.count_nonzero((c.a != 0) & (abs(c.a) < TINY))) for lv in chain.levels.values() for c in lv)
 
 
 @pytest.mark.parametrize("a", [1e4, 1e5, 1e6])
@@ -308,7 +322,7 @@ def subnormals(sol):
 @pytest.mark.parametrize("kind", ["1a", "1c", "1e_linear", "1e_quadratic"])
 def test_boundary_layers_match_the_full_solve(kind, m, a):
     op, f, bcs, exact = layer_problem(kind, a)
-    full, truncated = full_then_truncated(lambda: solve_bvp(op, f, bcs, m=m))
+    (full_chain, full), (truncated_chain, truncated) = full_then_truncated(lambda: chain_and_solution(op, f, bcs, m))
     np.testing.assert_array_equal(truncated.constants, full.constants)
     assert np.max(np.abs(truncated.coeffs.a - full.coeffs.a)) < 1e-280
     y = cheb_points(m).points
@@ -316,7 +330,7 @@ def test_boundary_layers_match_the_full_solve(kind, m, a):
     assert errors[1] == errors[0]
     # the truncation took effect: it leaves fewer subnormal chain entries.  At M = 8192, and at M = 16384 with
     # a >= 1e5, the chains of these layers underflow too late for a leading system of fewer rows than M.
-    left, before = subnormals(truncated), subnormals(full)
+    left, before = subnormals(truncated_chain), subnormals(full_chain)
     assert left < before if m >= 65536 or (m == 16384 and a == 1e4) else left <= before
 
 
