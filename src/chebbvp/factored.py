@@ -47,7 +47,6 @@ from .chebyshev import (
     grid_order,
     to_coeffs,
 )
-from .diffmat import AffineConvectionOp
 from .integration import FirstOrderOp, SecondOrderOp, first_order_particular, second_order_particular
 
 
@@ -337,7 +336,7 @@ def _as_coeffs(f: RightHandSide, m: int | None) -> ChebCoeffs:
 
 def check_factored(op):
     """The spectral path solves factored operators; the affine-convection operator has no factors."""
-    if isinstance(op, AffineConvectionOp):
+    if not isinstance(op, OperatorFactorization):
         raise ValueError("the affine-convection operator requires the diffmat backend")
 
 

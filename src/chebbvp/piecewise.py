@@ -118,7 +118,6 @@ class PiecewiseSolution:
 
 def rescale_operator(op: OperatorFactorization, w: float) -> tuple[OperatorFactorization, float]:
     """Operator and right-hand-side scale after mapping a width-w interval to [-1, 1]."""
-    check_factored(op)
     if w <= 0:
         raise ValueError("interval width must be positive")
     h = w / 2.0
@@ -148,6 +147,7 @@ def piecewise_solve_spectral(
     bcs: list[BoundaryCondition],
 ) -> PiecewiseSolution:
     """Spectral-integration backend: factored chains per interval + interface fit."""
+    check_factored(op)
     chains = []
     for i, w in enumerate(grid.widths):
         op_i, s = rescale_operator(op, w)

@@ -561,11 +561,16 @@ class TestHomogeneousBasisCache:
         second, _ = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 40)
         assert homogeneous_basis.cache_info().currsize == 1
         assert second.basis is not basis
-        # the evicted basis is freed while the solution lives, and a re-solve rebuilds it bitwise
-        evicted = weakref.ref(basis)
-        del chain, basis
-        assert evicted() is None
+        # a re-solve rebuilds the evicted basis bitwise on every level
+        rebuilt, resolved = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 32)
+        assert rebuilt.basis is not basis
+        assert_chains_equal(rebuilt, chain)
+        assert_solutions_equal(resolved, first)
         assert_solutions_equal(solve_bvp(MIXED_OP, np.cos, table_1e_bcs(), m=32), first)
+        # the evicted basis is freed while the solution lives
+        evicted = weakref.ref(basis)
+        del chain, basis, rebuilt
+        assert evicted() is None
 
     def test_kept_results_hold_only_their_coefficients(self):
         # after the caches are cleared, results keep neither their chains nor the basis
