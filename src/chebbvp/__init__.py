@@ -36,7 +36,7 @@ def clear_caches() -> None:
     """Empty the solver's caches and release their memory.
 
     These are the banded factorizations of both factor orders, the diffmat
-    endpoint rows and the homogeneous basis.  The next solve rebuilds what
+    endpoint rows and the homogeneous bases.  The next solve rebuilds what
     it needs, so its results are unchanged.
     """
     integration._first_order_factorization.cache_clear()

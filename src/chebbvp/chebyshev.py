@@ -111,6 +111,8 @@ class GridValues:
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.v):  # a float cast would drop the imaginary part with only a warning
+            raise ValueError("right-hand-side values must be real")
         vals = np.asarray(self.v, dtype=float)
         if vals.shape != (self.m + 1,):
             raise ValueError(f"expected {self.m + 1} values, got {vals.shape}")
@@ -178,7 +180,7 @@ def to_values(coeffs: ChebCoeffs) -> GridValues:
 def sample_function(f: Callable[[np.ndarray], np.ndarray], m: int) -> GridValues:
     """Sample f at the order-m Chebyshev points."""
     grid = cheb_points(m)
-    return GridValues(grid.m, np.asarray(f(grid.points), dtype=float))
+    return GridValues(grid.m, f(grid.points))
 
 
 def function_to_coeffs(f: Callable[[np.ndarray], np.ndarray], m: int) -> ChebCoeffs:

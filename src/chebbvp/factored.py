@@ -11,11 +11,12 @@ satisfies L u = f discretely and level 0 of each homogeneous chain
 satisfies L u = 0.
 
 The homogeneous chains depend only on the operator and M, so
-``homogeneous_basis`` builds them once and keeps the last (operator, M) in
-a one-entry cache, together with their endpoint reads.  ``solve_chains``
-then pushes only f through the factors: with the banded factorizations
-cached too, a repeated solve on one operator costs one banded solve per
-factor.
+``homogeneous_basis`` builds them once per (operator, M) and keeps them in
+an LRU bounded by the bytes it holds, together with the endpoint rows and
+reads of the fit.  Each interval of a piecewise grid has its own rescaled
+operator and so its own entry.  ``solve_chains`` then pushes only f
+through the factors: with the banded factorizations cached too, a repeated
+solve on any grid costs one banded solve per factor and interval.
 
 The boundary conditions are fitted last, by one fit for single and
 piecewise grids (a single grid is one interval).  Every row, boundary and
@@ -30,9 +31,11 @@ why the grid only needs to resolve the boundary-fitted solution.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import isfinite
+from functools import update_wrapper
+from math import fsum, isfinite
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -80,11 +83,13 @@ class BoundaryCondition:
         if self.endpoint not in (-1, 1):
             raise ValueError("endpoint must be -1 or +1")
         ws = tuple((grid_order(d, "derivative order"), float(w)) for d, w in self.weights)
-        if not ws or all(w == 0.0 for _, w in ws):
+        finite = all(isfinite(w) for _, w in ws)
+        # the weights on one order add up (d0=1 d0=-1 is 0 u), so some order's exact sum must be nonzero
+        if finite and all(fsum(w for e, w in ws if e == d) == 0.0 for d, _ in ws):
             raise ValueError("boundary condition needs a nonzero weight")
         if any(d < 0 for d, _ in ws):
             raise ValueError("derivative orders must be nonnegative")
-        if not all(isfinite(w) for _, w in ws) or not isfinite(self.value):
+        if not finite or not isfinite(self.value):
             raise ValueError("boundary-condition weights and value must be finite")
         object.__setattr__(self, "weights", ws)
 
@@ -103,25 +108,40 @@ class BoundaryCondition:
 
 @dataclass(frozen=True, eq=False)
 class HomogeneousBasis:
-    """Homogeneous chains of one operator on one grid order.
+    """Homogeneous chains of one operator on the order-m grid.
 
     levels[k] holds level k of homogeneous chains 1, 2, ... in the order the
     factors start them; a chain started below level k has no entry there.
-    Neither the chains nor their endpoint reads depend on f, so ``read``
-    keeps each read, keyed by level, endpoint and order.
+    Neither the chains nor the endpoint rows that read them depend on f, so
+    ``row`` keeps each row, keyed by endpoint and order, and ``read`` keeps
+    each read, keyed by level, endpoint and order.  The particular chain's
+    reads take their rows from here too.
     """
 
+    m: int
     levels: dict[int, tuple[ChebCoeffs, ...]]
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
     _reads: dict = field(default_factory=dict, init=False, repr=False)
 
-    def read(self, level: int, endpoint: int, order: int, row: np.ndarray) -> np.ndarray:
-        """row = endpoint_row(m, endpoint, order) on a level of every chain, zero where none (read-only).
+    def row(self, endpoint: int, order: int) -> np.ndarray:
+        """endpoint_row(m, endpoint, order) (read-only).
 
-        The entry is a pure function of its key, so concurrent writers store equal arrays.
+        Each memo entry is a pure function of its key, so concurrent writers store equal arrays.
         """
+        key = (endpoint, order)
+        row = self._rows.get(key)
+        if row is None:
+            row = endpoint_row(self.m, endpoint, order)
+            row.setflags(write=False)
+            self._rows[key] = row
+        return row
+
+    def read(self, level: int, endpoint: int, order: int) -> np.ndarray:
+        """The row's read of a level of every chain, zero where none (read-only)."""
         key = (level, endpoint, order)
         vals = self._reads.get(key)
         if vals is None:
+            row = self.row(endpoint, order)
             vals = np.zeros(len(self.levels[0]))
             vals[: len(self.levels[level])] = [apply_endpoint_row(c, row) for c in self.levels[level]]
             vals.setflags(write=False)
@@ -173,7 +193,77 @@ def _factor_steps(op: OperatorFactorization):
             yield factor, second_order_particular, level, ((0, (-factor.c,)), (1, (-2.0 * factor.b, -factor.c)))
 
 
-@lru_cache(maxsize=1)
+BASIS_CACHE_BYTES = 4 << 20
+"""Bound on the bytes of the bases ``homogeneous_basis`` keeps (see ``_basis_nbytes``)."""
+
+BasisCacheInfo = namedtuple("BasisCacheInfo", "hits misses currsize nbytes")
+
+
+def _basis_nbytes(op: OperatorFactorization, m: int) -> int:
+    """Bytes of op's basis on the order-m grid, known before it is built.
+
+    Its chain levels, and the most its memos can hold: the fit reads orders
+    0 and 1 only, so four endpoint rows and four reads per level.
+    """
+    chains = levels = running = 0
+    for *_, starts in _factor_steps(op):
+        running += len(starts)
+        chains += running
+        levels += 1
+    return 8 * ((m + 1) * (chains + 4) + 4 * levels * running)
+
+
+class _BasisCache:
+    """An LRU of build(op, m), keyed by (op, m) and bounded by BASIS_CACHE_BYTES.
+
+    A miss evicts the least recently used entries while the total with the
+    new entry exceeds the bound, before it builds the new one, and never
+    evicts the entry just built, which alone may exceed the bound.  A lock
+    guards the entries; two threads that miss on one key both build it,
+    equal bit for bit, and both return the first one stored.
+    """
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._build = build
+        self._lock = threading.Lock()
+        self.cache_clear()
+
+    def __call__(self, op: OperatorFactorization, m: int) -> HomogeneousBasis:
+        key = (op, m)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._hits += 1
+                self._entries.move_to_end(key)
+                return entry[0]
+            self._misses += 1
+            nbytes = _basis_nbytes(op, m)
+            self._evict(nbytes)  # a large basis is built without the last one alive
+        basis = self._build(op, m)
+        with self._lock:
+            if key not in self._entries:
+                self._evict(nbytes)  # other threads may have stored bases meanwhile
+                self._entries[key] = (basis, nbytes)
+                self._nbytes += nbytes
+            self._entries.move_to_end(key)
+            return self._entries[key][0]
+
+    def _evict(self, room: int) -> None:
+        while self._entries and self._nbytes + room > BASIS_CACHE_BYTES:
+            self._nbytes -= self._entries.popitem(last=False)[1][1]
+
+    def cache_info(self) -> BasisCacheInfo:
+        with self._lock:
+            return BasisCacheInfo(self._hits, self._misses, len(self._entries), self._nbytes)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries: OrderedDict = OrderedDict()
+            self._hits = self._misses = self._nbytes = 0
+
+
+@_BasisCache
 def homogeneous_basis(op: OperatorFactorization, m: int) -> HomogeneousBasis:
     """The homogeneous chains of op on the order-m grid, built in one pass over the factors.
 
@@ -182,8 +272,9 @@ def homogeneous_basis(op: OperatorFactorization, m: int) -> HomogeneousBasis:
     its own homogeneous chains the roundabout way, as 1/2 + u* (or T_1 + u*)
     with u* the particular solution for minus the factor applied to 1/2 (or
     T_1).  Each start shares the factor's banded factorization with every
-    other solve through it.  One entry is kept: a solve on the same
-    operator and order reuses it, and a solve on another replaces it.
+    other solve through it.  The bases are kept per (operator, order) in a
+    byte-bounded LRU (``_BasisCache``): every interval of a piecewise grid
+    keeps its own, and a single basis larger than the bound is kept alone.
     """
     running: list[ChebCoeffs] = []
     levels: dict[int, tuple[ChebCoeffs, ...]] = {}
@@ -199,7 +290,7 @@ def homogeneous_basis(op: OperatorFactorization, m: int) -> HomogeneousBasis:
             a[unit] = 1.0
             running.append(ChebCoeffs._adopt(m, a, s))
         levels[level] = tuple(running)
-    return HomogeneousBasis(levels)
+    return HomogeneousBasis(m, levels)
 
 
 def solve_chains(op: OperatorFactorization, f: ChebCoeffs) -> ChainSolution:
@@ -295,10 +386,9 @@ def _derivative_reads(op: OperatorFactorization, weights, half_width: float) -> 
 
 def _read(chain: ChainSolution, level: int, endpoint: int, order: int) -> np.ndarray:
     """Value (order 0) or derivative (order 1) at endpoint of one level of every chain, particular first."""
-    row = endpoint_row(chain.m, endpoint, order)
     out = np.empty(len(chain.levels[0]))
-    out[0] = apply_endpoint_row(chain.levels[level][0], row)
-    out[1:] = chain.basis.read(level, endpoint, order, row)
+    out[0] = apply_endpoint_row(chain.levels[level][0], chain.basis.row(endpoint, order))
+    out[1:] = chain.basis.read(level, endpoint, order)
     return out
 
 

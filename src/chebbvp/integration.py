@@ -26,8 +26,8 @@ conditions yield banded systems.  The right-hand sides are
 Each banded matrix depends only on the factor and M, so its factorization
 is cached and shared by every solve through that factor: the homogeneous
 chains that ``factored.homogeneous_basis`` builds from particular solves,
-once per operator and M, and the particular chain of every right-hand
-side.
+once per operator and M while its byte-bounded cache keeps them, and the
+particular chain of every right-hand side.
 
 Row n of either system depends on n alone, never on M, so its leading K
 rows are the order-(K + r) system (r = 1 or 2).  A boundary-layer chain's

@@ -75,6 +75,7 @@ BAD_INPUTS = [
     pytest.param(" value=0", "", 12, "boundary condition needs value=", id="bc-value"),
     pytest.param("d0=1 ", "", 12, "boundary condition needs a nonzero weight", id="bc-no-weight"),
     pytest.param("d0=1", "d0=0", 12, "boundary condition needs a nonzero weight", id="bc-zero-weight"),
+    pytest.param("d0=1", "d0=1 d0=-1", 12, "boundary condition needs a nonzero weight", id="bc-cancelling-weights"),
     pytest.param(
         "linear 1", "cubic 1", 3, "expected 'linear a', 'quadratic b c', or 'ysecond p q1 q0 r', got 'cubic 1'",
         id="operator-line",
@@ -510,6 +511,16 @@ class TestMain:
         path = self._spec_path(tmp_path, MINIMAL_FIRST_ORDER.replace("m = 16", "m = 0"))
         assert main(["solve", path, "--backend", backend]) == 2
         assert "grid order must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["spectral", "diffmat"])
+    def test_solve_weights_cancelling_on_one_order(self, tmp_path, capsys, backend):
+        # d1=1 d1=-1 adds 0 u'(-1): the condition is u(-1) = 1, output and exit code alike
+        outputs = []
+        for bc in ("at=-1 d1=1 d1=-1 d0=1 value=1", "at=-1 d0=1 value=1"):
+            text = builtin_spec_text("table1c.spec").replace("at=-1 d0=1 value=1", bc, 1).replace("m = 8192", "m = 64")
+            assert bc in text and "m = 64" in text
+            outputs.append((main(["solve", self._spec_path(tmp_path, text), "--backend", backend]), capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
     def test_solve_oversized_collocation_system_exits_2(self, tmp_path, capsys):
         text = builtin_spec_text("table3.spec").replace("orders = 32 32 32\n", "orders = 4096 4096 4096\n", 1)

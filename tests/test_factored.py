@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -413,6 +414,43 @@ class TestSolveBvp:
             BoundaryCondition(-1, ((0.5, 1.0),), 0.0)
         assert BoundaryCondition(-1, ((1.0, 1.0),), 0.0).weights == BoundaryCondition(-1, ((1, 1.0),), 0.0).weights
 
+    @pytest.mark.parametrize("weights", [((0, 1.0), (0, -1.0)), ((1, 0.5), (0, 0.0), (1, -0.5)), ((1, 1e16), (1, -1e16))])
+    def test_weights_that_cancel_on_every_order_are_rejected(self, weights):
+        with pytest.raises(ValueError, match="boundary condition needs a nonzero weight"):
+            BoundaryCondition(-1, weights, 0.0)
+
+    def test_weights_that_cancel_on_one_order_leave_the_others(self):
+        # u'(-1) - u'(-1) + u(-1)/2 = 0 is u(-1)/2 = 0, bit for bit, on single and piecewise grids
+        op = OperatorFactorization(linear=(FirstOrderOp(2.0), FirstOrderOp(-1.0)))
+        rhs = lambda y: np.cos(3 * y)
+        cancelling = BoundaryCondition(-1, ((1, 1.0), (1, -1.0), (0, 0.5)), 0.0)
+        plain = BoundaryCondition(-1, ((0, 0.5),), 0.0)
+        a, b = (solve_bvp(op, rhs, [bc, dirichlet(1, 1.0)], m=32) for bc in (cancelling, plain))
+        assert a.coeffs.a.tobytes() == b.coeffs.a.tobytes()
+        assert a.constants.tobytes() == b.constants.tobytes()
+        grid = PiecewiseGrid(np.array([-1.0, -0.5, 1.0]), (16, 24))
+        a, b = (piecewise_solve_spectral(op, rhs, grid, [bc, dirichlet(1, 1.0)]) for bc in (cancelling, plain))
+        assert [c.a.tobytes() for c in a.local_coeffs] == [c.a.tobytes() for c in b.local_coeffs]
+        assert a.constants.tobytes() == b.constants.tobytes()
+        # the exact sum of an order's weights counts, not their rounded one
+        assert BoundaryCondition(-1, ((0, 1e16), (0, 1.0), (0, -1e16)), 0.0).weights[1] == (0, 1.0)
+
+    @pytest.mark.parametrize("backend", ["values", "callable", "piecewise-spectral", "piecewise-diffmat"])
+    def test_complex_right_hand_side_values_are_rejected(self, backend):
+        op = OperatorFactorization(quadratic=(SecondOrderOp(0.0, -1.0),))
+        bcs = [dirichlet(-1, 0.0), dirichlet(1, 0.0)]
+        grid = PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (16, 16))
+        solves = {
+            "values": lambda: GridValues(4, np.ones(5) + 1j),
+            "callable": lambda: solve_bvp(op, lambda y: y + 0j, bcs, m=16),
+            "piecewise-spectral": lambda: piecewise_solve_spectral(op, lambda y: y + 1j, grid, bcs),
+            "piecewise-diffmat": lambda: piecewise.piecewise_solve_diffmat(op, lambda y: y + 1j, grid, bcs),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the imaginary part is not dropped with a warning either
+            with pytest.raises(ValueError, match="right-hand-side values must be real"):
+                solves[backend]()
+
     def test_affine_convection_operator_is_not_factored(self):
         op = AffineConvectionOp(1.0, 0.0, 1.0, 0.0)
         bcs = [dirichlet(-1, 0.0), dirichlet(1, 0.0)]
@@ -547,7 +585,7 @@ class TestHomogeneousBasisCache:
             mat, rhs = fit_systems[-1]
             assert_boundary_rows_match(mat[:4], rhs[:4], chains, grid.widths / 2.0, bcs)
 
-    def test_cached_arrays_are_read_only_and_one_entry_is_kept(self):
+    def test_cached_arrays_are_read_only_and_evicted_by_bytes(self, monkeypatch):
         homogeneous_basis.cache_clear()
         chain, first = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 32)
         basis = homogeneous_basis(MIXED_OP, 32)
@@ -556,8 +594,17 @@ class TestHomogeneousBasisCache:
             assert all(not c.a.flags.writeable for c in row)
         # u and u' at both ends read level 0 at orders 0 and 1, and nothing else
         assert set(basis._reads) == {(0, end, order) for end in (-1, 1) for order in (0, 1)}
-        assert all(not vals.flags.writeable for vals in basis._reads.values())
-        assert basis.read(0, 1, 1, endpoint_row(32, 1, 1)) is basis._reads[0, 1, 1]
+        assert set(basis._rows) == {(end, order) for end in (-1, 1) for order in (0, 1)}
+        assert all(not vals.flags.writeable for vals in [*basis._reads.values(), *basis._rows.values()])
+        assert basis.read(0, 1, 1) is basis._reads[0, 1, 1]
+        assert basis.row(1, 1) is basis._rows[1, 1]
+        np.testing.assert_array_equal(basis.row(1, 1), endpoint_row(32, 1, 1))
+        # the entry's bytes: its chain levels, four rows and four reads per level
+        nbytes = homogeneous_basis.cache_info().nbytes
+        chains = sum(c.a.nbytes for level in basis.levels.values() for c in level)
+        assert nbytes == chains + 4 * basis.row(1, 1).nbytes + 4 * len(basis.levels) * basis.read(0, 1, 1).nbytes
+        # a bound that holds this basis alone: the next one evicts it
+        monkeypatch.setattr(factored, "BASIS_CACHE_BYTES", nbytes)
         second, _ = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 40)
         assert homogeneous_basis.cache_info().currsize == 1
         assert second.basis is not basis
@@ -571,6 +618,77 @@ class TestHomogeneousBasisCache:
         evicted = weakref.ref(basis)
         del chain, basis, rebuilt
         assert evicted() is None
+
+    def test_piecewise_resolve_hits_every_interval(self, monkeypatch):
+        # three widths, three rescaled operators: the re-solve builds none of their bases
+        chains = []
+
+        def record(op, f):
+            chains.append(factored.solve_chains(op, f))
+            return chains[-1]
+
+        monkeypatch.setattr(piecewise, "solve_chains", record)
+        grid = PiecewiseGrid(np.array([-1.0, -0.75, 0.0, 1.0]), (24, 32, 24))
+        d = BoundaryCondition.derivative
+        bcs = [dirichlet(-1, 0.5), dirichlet(1, -1.0), d(-1, 1, 2.0), d(1, 1, 0.0)]
+        homogeneous_basis.cache_clear()
+        cold = piecewise_solve_spectral(MANUFACTURED_OP, manufactured_f, grid, bcs)
+        assert homogeneous_basis.cache_info()[:3] == (0, 3, 3)
+        warm = piecewise_solve_spectral(MANUFACTURED_OP, manufactured_f, grid, bcs)
+        assert homogeneous_basis.cache_info()[:3] == (3, 3, 3)  # hits, misses, currsize
+        for c, w in zip(chains[:3], chains[3:]):
+            assert w.basis is c.basis
+            assert_chains_equal(w, c)
+        for c, w in zip(cold.local_coeffs, warm.local_coeffs):
+            assert c.a.tobytes() == w.a.tobytes()
+        assert cold.constants.tobytes() == warm.constants.tobytes()
+
+    def test_least_recently_used_evicted_first(self, monkeypatch):
+        ops = [OperatorFactorization(linear=(FirstOrderOp(a),)) for a in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        homogeneous_basis.cache_clear()
+        bases = [weakref.ref(homogeneous_basis(op, 64)) for op in ops[:3]]
+        size = homogeneous_basis.cache_info().nbytes // 3
+        assert all(factored._basis_nbytes(op, 64) == size for op in ops)
+        monkeypatch.setattr(factored, "BASIS_CACHE_BYTES", 3 * size)
+        assert homogeneous_basis(ops[0], 64) is bases[0]()  # now ops[1] is the least recently used
+        bases.append(weakref.ref(homogeneous_basis(ops[3], 64)))
+        assert [b() is None for b in bases] == [False, True, False, False]
+        bases.append(weakref.ref(homogeneous_basis(ops[4], 64)))
+        assert [b() is None for b in bases] == [False, True, True, False, False]
+        info = homogeneous_basis.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.nbytes) == (1, 5, 3, 3 * size)
+        homogeneous_basis.cache_clear()
+        assert all(b() is None for b in bases)
+
+    def test_a_basis_over_the_bound_is_kept_alone(self, monkeypatch):
+        small = OperatorFactorization(linear=(FirstOrderOp(1.0),))
+        ops, f, bcs = fourth_order_ops(30.0, 60.0), np.cos, table_1e_bcs()
+        homogeneous_basis.cache_clear()
+        evicted = weakref.ref(homogeneous_basis(small, 64))
+        chain, first = chain_and_solution(ops[0], f, bcs, 131072)
+        info = homogeneous_basis.cache_info()
+        assert factored._basis_nbytes(ops[0], 131072) == info.nbytes > factored.BASIS_CACHE_BYTES
+        assert info.currsize == 1 and evicted() is None
+        again, second = chain_and_solution(ops[0], f, bcs, 131072)
+        assert again.basis is chain.basis and homogeneous_basis.cache_info().hits == 1
+        assert_solutions_equal(second, first)
+        # a miss makes room before it builds: the next large basis is built with the last one freed
+        big, alive_at_build = weakref.ref(chain.basis), []
+        del chain, again
+        build = homogeneous_basis._build
+
+        def watched(op, m):
+            alive_at_build.append(big() is not None)
+            return build(op, m)
+
+        monkeypatch.setattr(homogeneous_basis, "_build", watched)
+        homogeneous_basis(ops[1], 131072)
+        assert alive_at_build == [False]
+        # and the next entry, however small, evicts the large one: the bound holds beside the entry just used
+        homogeneous_basis(small, 64)
+        info = homogeneous_basis.cache_info()
+        assert info.currsize == 1 and info.nbytes <= factored.BASIS_CACHE_BYTES
+        homogeneous_basis.cache_clear()
 
     def test_kept_results_hold_only_their_coefficients(self):
         # after the caches are cleared, results keep neither their chains nor the basis
@@ -589,7 +707,7 @@ class TestHomogeneousBasisCache:
         assert held < 1.5 * sum(sol.coeffs.a.nbytes for sol in kept)
 
     def test_concurrent_solves_match_serial_solves(self):
-        # threads race on the one cache entry and its read memo; every
+        # threads race on the cache entries and their row and read memos; every
         # result must still be the serial one
         ops = fourth_order_ops(30.0, 60.0)
         d = BoundaryCondition.derivative
