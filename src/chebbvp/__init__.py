@@ -12,8 +12,8 @@ factors and solves, chain solves, the boundary fit, coefficient
 integration) are imported from their modules.
 """
 
-from . import diffmat, factored, integration
 from .banded import SingularSystemError
+from .cache import clear as clear_caches
 from .chebyshev import ChebCoeffs, GridValues, cheb_points, eval_series, to_coeffs, to_values
 from .diagnostics import SpectrumReport, dense_export, singular_spectrum
 from .diffmat import AffineConvectionOp
@@ -30,19 +30,6 @@ from .piecewise import (
 from .problems import ProblemSpec, load_problem, parse_problem
 
 __version__ = "0.1.0"
-
-
-def clear_caches() -> None:
-    """Empty the solver's caches and release their memory.
-
-    These are the banded factorizations of both factor orders, the diffmat
-    endpoint rows and the homogeneous bases.  The next solve rebuilds what
-    it needs, so its results are unchanged.
-    """
-    integration._first_order_factorization.cache_clear()
-    integration._second_order_factorization.cache_clear()
-    diffmat.diff_endpoint_row.cache_clear()
-    factored.homogeneous_basis.cache_clear()
 
 
 __all__ = [

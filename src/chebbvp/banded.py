@@ -5,8 +5,8 @@ in LAPACK band layout (``bands[ku + i - j, j] = A[i, j]``) and factored with
 partial pivoting via ``dgbtrf``/``dgbtrs``; pivoting widens the band by kl
 superdiagonals, which the factorization allocates.
 
-A factorization's arrays are read-only: the factorization caches share
-them between threads, and ``dgbtrs`` only reads them.
+A factorization's arrays are read-only: the solver's cache shares them
+between threads, and ``dgbtrs`` only reads them.
 
 Every dense system, the small boundary and interface fit as well as the
 collocation backend's, goes through ``dense_solve``: power-of-two row

@@ -36,6 +36,8 @@ from typing import Callable
 import numpy as np
 from scipy.fft import dct
 
+from .cache import memoize
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr, dtype=float).copy()
@@ -207,13 +209,14 @@ def eval_series(coeffs: ChebCoeffs, y):
     return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
+@memoize(lambda m, endpoint, order: 8 * (m + 1))
 def endpoint_row(m: int, endpoint: int, order: int) -> np.ndarray:
-    """Weights w with u^(order)(endpoint) = a[0] w[0] + sum_{n>=1} a[n] w[n].
+    """Weights w with u^(order)(endpoint) = a[0] w[0] + sum_{n>=1} a[n] w[n] (read-only).
 
     T_n^(k)(+-1) = (+-1)^(n+k) prod_{j<k} (n^2 - j^2)/(2j+1), and w[0] carries
     the halved a[0].  Every partial product is a derivative of T_n at 1, an
     integer, so multiplying before dividing keeps the weights exact up to
-    2^53.  The cost is O(M) at any M: no grid values, no dense matrix.
+    2^53.  The cost is O(M) at any M, and the solver's cache keeps one row per (M, endpoint, order).
     """
     if endpoint not in (1, -1):
         raise ValueError("endpoint must be +1 or -1")
@@ -227,6 +230,7 @@ def endpoint_row(m: int, endpoint: int, order: int) -> np.ndarray:
     w[0] *= 0.5
     if endpoint == -1:
         w[(order + 1) % 2 :: 2] *= -1.0
+    w.setflags(write=False)
     return w
 
 
@@ -238,11 +242,6 @@ def apply_endpoint_row(coeffs: ChebCoeffs, row: np.ndarray) -> float:
     """
     a = coeffs.a
     return float(a[0] * row[0] + (a[1:] * row[1:]).sum())
-
-
-def endpoint_derivative(coeffs: ChebCoeffs, endpoint: int, order: int) -> float:
-    """Series derivative u^(order)(+-1); order 0 is the endpoint value."""
-    return apply_endpoint_row(coeffs, endpoint_row(coeffs.m, endpoint, order))
 
 
 def integrate_coeffs(coeffs: ChebCoeffs) -> ChebCoeffs:

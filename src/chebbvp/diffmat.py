@@ -11,18 +11,18 @@ view of the collocation system, with no matrix product.
 
 The endpoint rows of D, used by the piecewise collocation backend for its
 derivative boundary and interface rows, are built without materializing the
-full matrix.  Boundary conditions of the spectral solvers do not use them:
-they read endpoint derivatives from the Chebyshev coefficients.
+full matrix and kept in the solver's cache.  The spectral solvers' boundary
+conditions read endpoint derivatives from the Chebyshev coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite
 
 import numpy as np
 
+from .cache import memoize
 from .chebyshev import cheb_points
 
 
@@ -33,9 +33,9 @@ def _signed_weights(m: int) -> np.ndarray:
     return s
 
 
-@lru_cache(maxsize=64)
+@memoize(lambda m, endpoint: 8 * (m + 1))
 def diff_endpoint_row(m: int, endpoint: int) -> np.ndarray:
-    """Row of the differentiation matrix at y = +1 (row 0) or y = -1 (row M)."""
+    """Row of the differentiation matrix at y = +1 (row 0) or y = -1 (row M) (read-only)."""
     if endpoint not in (1, -1):
         raise ValueError("endpoint must be +1 or -1")
     y = cheb_points(m).points

@@ -24,10 +24,10 @@ conditions yield banded systems.  The right-hand sides are
 ``integrate_coeffs`` and ``double_integrate_coeffs``.
 
 Each banded matrix depends only on the factor and M, so its factorization
-is cached and shared by every solve through that factor: the homogeneous
-chains that ``factored.homogeneous_basis`` builds from particular solves,
-once per operator and M while its byte-bounded cache keeps them, and the
-particular chain of every right-hand side.
+is kept in the solver's cache (``cache``) and shared by every solve through
+that factor: the homogeneous chains that ``factored.homogeneous_basis``
+builds from particular solves, and the particular chain of every
+right-hand side.
 
 Row n of either system depends on n alone, never on M, so its leading K
 rows are the order-(K + r) system (r = 1 or 2).  A boundary-layer chain's
@@ -51,7 +51,7 @@ underflow threshold instead of a tolerance.  "Normal" is ``not abs(v) <
 tiny``, so NaN and inf always reach the full solve.  On the boundary-layer
 tables the fitted constants are bitwise those of the full solve, and
 coefficients move by less than 1e-280.  The smaller systems' factorizations
-live in the same caches as every other.  After a truncated solve the chain
+live in the same cache as every other.  After a truncated solve the chain
 carries r + s, with s its last normal entry, as its support
 (``ChebCoeffs.support``), so the stencils, copies and combination that
 follow run on its nonzero prefix rather than on all M + 1 coefficients.
@@ -62,12 +62,12 @@ from __future__ import annotations
 import cmath
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from math import asinh, hypot, inf, isfinite, log, log1p
 
 import numpy as np
 
 from .banded import BandedFactorization, BandedMatrix, banded_factor, banded_solve
+from .cache import memoize
 from .chebyshev import (
     ChebCoeffs,
     double_integral_rows,
@@ -129,14 +129,13 @@ def second_order_matrix(op: SecondOrderOp, m: int) -> BandedMatrix:
     )
 
 
-# 32 entries per cache: a whole table run makes at most 28 factorizations, and one at M = 131072
-# holds 4.7 MB (first order) or 7.9 MB (second order)
-@lru_cache(maxsize=32)
+# an entry's bytes: 2 kl + ku + 1 rows of n doubles of LU and n 32-bit pivots (4.7 / 7.9 MB at M = 131072)
+@memoize(lambda op, m: 36 * (m - 1))
 def _first_order_factorization(op: FirstOrderOp, m: int) -> BandedFactorization:
     return banded_factor(first_order_matrix(op, m))
 
 
-@lru_cache(maxsize=32)
+@memoize(lambda op, m: 60 * (m - 2))
 def _second_order_factorization(op: SecondOrderOp, m: int) -> BandedFactorization:
     return banded_factor(second_order_matrix(op, m))
 

@@ -133,6 +133,8 @@ def _interval_values(f: PiecewiseRhs, grid: PiecewiseGrid, i: int) -> GridValues
         v = f(grid.interval_points(i))
     elif len(f) != grid.n_intervals:
         raise ValueError(f"got {len(f)} right-hand sides for intervals 0 to {grid.n_intervals - 1}")
+    elif not isinstance(f[i], GridValues):
+        raise TypeError(f"interval {i} right-hand side is {type(f[i]).__name__}, expected GridValues")
     else:
         v = f[i].v
     if np.shape(v) != (m + 1,):

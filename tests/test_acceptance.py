@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from chebbvp import clear_caches
 from chebbvp.banded import banded_factor, banded_solve
 from chebbvp.chebyshev import (
     ChebCoeffs,
@@ -24,7 +25,7 @@ from chebbvp.chebyshev import (
 from chebbvp.cli import builtin_spec_text, run, spectrum, sweep_cell
 from chebbvp.diagnostics import condition_vs_parameter
 from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
-from chebbvp.integration import FirstOrderOp, SecondOrderOp, _first_order_factorization
+from chebbvp.integration import FirstOrderOp, SecondOrderOp
 from chebbvp.piecewise import sample_piecewise
 from chebbvp.problems import parse_problem
 
@@ -51,7 +52,7 @@ def shipped(name):
 def test_criterion_1_table_1a_error_and_runtime():
     spec = shipped("table1a.spec")
     assert spec.grid == 8192
-    _first_order_factorization.cache_clear()
+    clear_caches()  # a cold run: no factorization, basis or endpoint row kept
     t0 = time.perf_counter()
     err = run(spec).error
     elapsed = time.perf_counter() - t0

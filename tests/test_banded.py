@@ -91,7 +91,7 @@ class TestBandedFactorSolve:
         assert exc.value.column is not None
 
     def test_factors_are_read_only_and_solved_without_a_copy(self):
-        # the factorization caches share these arrays between threads (README "Concurrency")
+        # the solver's cache shares these arrays between threads (README "Concurrency")
         n = 100_000
         f = banded_factor(random_banded(n, 2, 2, seed=6))
         assert not f.lu.flags.writeable and not f.ipiv.flags.writeable

@@ -9,11 +9,12 @@ from numpy.polynomial import chebyshev as npcheb
 from chebbvp.chebyshev import (
     ChebCoeffs,
     GridValues,
+    apply_endpoint_row,
     cheb_points,
     dense_sample,
     double_integral_rows,
     double_integrate_coeffs,
-    endpoint_derivative,
+    endpoint_row,
     eval_series,
     integral_rows,
     integrate_coeffs,
@@ -289,15 +290,18 @@ class TestEvalSeries:
 class TestEndpoints:
     def test_t1(self):
         t1 = ChebCoeffs.unit(5, 1)
-        assert (endpoint_derivative(t1, 1, 0), endpoint_derivative(t1, -1, 0)) == (1.0, -1.0)
+        plus, minus = apply_endpoint_row(t1, endpoint_row(5, 1, 0)), apply_endpoint_row(t1, endpoint_row(5, -1, 0))
+        assert (plus, minus) == (1.0, -1.0)
 
     def test_constant(self):
         t0 = ChebCoeffs.unit(5, 0)
-        assert (endpoint_derivative(t0, 1, 0), endpoint_derivative(t0, -1, 0)) == (1.0, 1.0)
+        plus, minus = apply_endpoint_row(t0, endpoint_row(5, 1, 0)), apply_endpoint_row(t0, endpoint_row(5, -1, 0))
+        assert (plus, minus) == (1.0, 1.0)
 
     @given(coeff_vectors())
     def test_agrees_with_eval_series(self, c):
-        plus, minus = endpoint_derivative(c, 1, 0), endpoint_derivative(c, -1, 0)
+        plus = apply_endpoint_row(c, endpoint_row(c.m, 1, 0))
+        minus = apply_endpoint_row(c, endpoint_row(c.m, -1, 0))
         scale = max(1.0, abs(c.a).sum())
         assert abs(plus - eval_series(c, 1.0)) <= 1e-14 * scale
         assert abs(minus - eval_series(c, -1.0)) <= 1e-14 * scale
@@ -312,9 +316,9 @@ class TestEndpoints:
         for k in range(5):
             deriv = npcheb.chebder(mode, k)
             for endpoint in (1, -1):
-                assert endpoint_derivative(c, endpoint, k) == npcheb.chebval(endpoint, deriv)
+                assert apply_endpoint_row(c, endpoint_row(21, endpoint, k)) == npcheb.chebval(endpoint, deriv)
         if n == 3:
-            assert endpoint_derivative(c, 1, 2) == 24.0  # (4y^3 - 3y)'' = 24 y
+            assert apply_endpoint_row(c, endpoint_row(21, 1, 2)) == 24.0  # (4y^3 - 3y)'' = 24 y
 
 
 class TestIntegration:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chebbvp import clear_caches
+from chebbvp import cache, clear_caches
 from chebbvp.chebyshev import cheb_points, to_values
 from chebbvp.cli import TABLES, builtin_spec_text, main, reproduce_tables, run, sweep_cell
 from chebbvp.diffmat import AffineConvectionOp
@@ -307,6 +307,11 @@ class TestRun:
             run(spec, "spectral")
 
 
+def cached_bytes():
+    """The bytes of every entry in the solver's cache."""
+    return sum(nbytes for _, nbytes in cache._entries.values())
+
+
 def same_grid(a, b):
     if isinstance(a, PiecewiseGrid) and isinstance(b, PiecewiseGrid):
         return a.orders == b.orders and a.nodes.tolist() == b.nodes.tolist()
@@ -556,20 +561,29 @@ class TestMain:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {prefix}{match}")
 
-    def test_factorization_caches_are_bounded(self):
-        caches = (_first_order_factorization, _second_order_factorization)
+    def test_table_1e_makes_no_factorization_twice(self, monkeypatch):
+        built = []
+        for kind in (_first_order_factorization, _second_order_factorization):
+            monkeypatch.setattr(kind, "_build", lambda op, m, build=kind._build: built.append((op, m)) or build(op, m))
         clear_caches()
         reproduce_tables("1e")
-        # a whole table run factors each (factor, order) once: nothing is evicted
-        assert all(cache.cache_info().misses == cache.cache_info().currsize for cache in caches)
+        # under the shipped bound a whole table run factors each (factor, order) once
+        assert len(built) == len(set(built)) > 0
+        clear_caches()
+
+    def test_factorization_caches_are_bounded(self):
+        clear_caches()
+        reproduce_tables("1e")
         reproduce_tables("1a")
         reproduce_tables("1c")
+        m, size = 65536, 36 * 65535  # a first-order factorization's bytes: 4 LU rows of doubles, 32-bit pivots
         for k in range(40):
-            _first_order_factorization(FirstOrderOp(k + 0.5), 4096)
-        for cache in caches:
-            info = cache.cache_info()
-            assert info.maxsize == 32 and info.currsize <= 32
-        assert _first_order_factorization.cache_info().currsize == 32
+            _first_order_factorization(FirstOrderOp(k + 0.5), m)
+        # one bound on the bytes of every entry: the newest factorizations evicted every older entry of any kind
+        kinds = [kind.cache_info() for kind in cache._kinds]
+        assert sum(info.nbytes for info in kinds) == cached_bytes() <= cache.CACHE_BYTES
+        assert _first_order_factorization.cache_info().currsize == cache.CACHE_BYTES // size
+        assert sum(info.currsize for info in kinds) == cache.CACHE_BYTES // size
         clear_caches()
 
     @pytest.mark.parametrize("name", ["table1a", "table1c", "table1d", "table1e", "table3"])

@@ -1,5 +1,6 @@
 """Factored-form solver: chain examples, paper table values, cancellation."""
 
+import itertools
 import sys
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from chebbvp import clear_caches, factored, piecewise
+from chebbvp import cache, clear_caches, factored, piecewise
 from chebbvp.banded import SingularSystemError, dense_solve
 from chebbvp.chebyshev import (
     to_coeffs,
@@ -33,6 +34,7 @@ from chebbvp.factored import (
 from chebbvp.integration import (
     FirstOrderOp,
     SecondOrderOp,
+    _first_order_factorization,
     first_order_residual,
     second_order_residual,
 )
@@ -517,6 +519,11 @@ def assert_chains_equal(a, b):
             np.testing.assert_array_equal(x.a, y.a)
 
 
+def cached_bytes():
+    """The bytes of every entry in the solver's cache."""
+    return sum(nbytes for _, nbytes in cache._entries.values())
+
+
 def chain_and_solution(op, f, bcs, m):
     """What solve_bvp(op, f, bcs, m) runs, with the chains it fits."""
     chain = solve_chains(op, function_to_coeffs(f, m))
@@ -586,7 +593,7 @@ class TestHomogeneousBasisCache:
             assert_boundary_rows_match(mat[:4], rhs[:4], chains, grid.widths / 2.0, bcs)
 
     def test_cached_arrays_are_read_only_and_evicted_by_bytes(self, monkeypatch):
-        homogeneous_basis.cache_clear()
+        clear_caches()
         chain, first = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 32)
         basis = homogeneous_basis(MIXED_OP, 32)
         assert chain.basis is basis
@@ -594,20 +601,26 @@ class TestHomogeneousBasisCache:
             assert all(not c.a.flags.writeable for c in row)
         # u and u' at both ends read level 0 at orders 0 and 1, and nothing else
         assert set(basis._reads) == {(0, end, order) for end in (-1, 1) for order in (0, 1)}
-        assert set(basis._rows) == {(end, order) for end in (-1, 1) for order in (0, 1)}
-        assert all(not vals.flags.writeable for vals in [*basis._reads.values(), *basis._rows.values()])
+        assert endpoint_row.cache_info().currsize == 4
+        rows = [endpoint_row(32, end, order) for end in (-1, 1) for order in (0, 1)]
+        assert all(not vals.flags.writeable for vals in [*basis._reads.values(), *rows])
         assert basis.read(0, 1, 1) is basis._reads[0, 1, 1]
-        assert basis.row(1, 1) is basis._rows[1, 1]
-        np.testing.assert_array_equal(basis.row(1, 1), endpoint_row(32, 1, 1))
-        # the entry's bytes: its chain levels, four rows and four reads per level
+        assert endpoint_row(32, 1, 1) is rows[3]
+        np.testing.assert_array_equal(rows[3], endpoint_row.__wrapped__(32, 1, 1))
+        # the entries' bytes: a basis's chain levels and four reads per level, and each row once
         nbytes = homogeneous_basis.cache_info().nbytes
         chains = sum(c.a.nbytes for level in basis.levels.values() for c in level)
-        assert nbytes == chains + 4 * basis.row(1, 1).nbytes + 4 * len(basis.levels) * basis.read(0, 1, 1).nbytes
-        # a bound that holds this basis alone: the next one evicts it
-        monkeypatch.setattr(factored, "BASIS_CACHE_BYTES", nbytes)
-        second, _ = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 40)
+        assert nbytes == chains + 4 * len(basis.levels) * basis.read(0, 1, 1).nbytes
+        assert endpoint_row.cache_info().nbytes == 4 * rows[3].nbytes
+        # a warm solve uses the basis before the factorizations and rows: the basis is now the least recently used
+        # entry, and a bound at the cache's bytes makes the next basis evict it and nothing else
+        chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 32)
+        monkeypatch.setattr(cache, "CACHE_BYTES", cached_bytes())
+        swapped = OperatorFactorization(MIXED_OP.linear[::-1], MIXED_OP.quadratic)  # the same factorizations
+        second, _ = chain_and_solution(swapped, np.cos, table_1e_bcs(), 32)
         assert homogeneous_basis.cache_info().currsize == 1
         assert second.basis is not basis
+        assert cached_bytes() == cache.CACHE_BYTES
         # a re-solve rebuilds the evicted basis bitwise on every level
         rebuilt, resolved = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 32)
         assert rebuilt.basis is not basis
@@ -618,6 +631,29 @@ class TestHomogeneousBasisCache:
         evicted = weakref.ref(basis)
         del chain, basis, rebuilt
         assert evicted() is None
+
+    def test_bases_at_one_order_read_the_same_row_objects(self, monkeypatch):
+        # an endpoint row is kept once per (M, endpoint, order) and shared by every basis and solve on that order
+        reads = {}
+
+        def record(c, row):
+            reads[op].append(row)
+            return apply_endpoint_row(c, row)
+
+        monkeypatch.setattr(factored, "apply_endpoint_row", record)
+        clear_caches()
+        swapped = OperatorFactorization(MIXED_OP.linear[::-1], MIXED_OP.quadratic)
+        bases = []
+        for op in (MIXED_OP, swapped):
+            reads[op] = []
+            bases.append(chain_and_solution(op, np.cos, table_1e_bcs(), 32)[0].basis)
+        assert bases[0] is not bases[1]
+        first, second = reads.values()
+        assert len(first) == len(second) == 4 * 5  # u and u' at both ends, of the particular chain and four more
+        assert all(a is b for a, b in zip(first, second))
+        rows = [endpoint_row(32, end, order) for end in (-1, 1) for order in (0, 1)]
+        assert {id(row) for row in first} == {id(row) for row in rows}
+        assert endpoint_row.cache_info().currsize == 4
 
     def test_piecewise_resolve_hits_every_interval(self, monkeypatch):
         # three widths, three rescaled operators: the re-solve builds none of their bases
@@ -644,12 +680,14 @@ class TestHomogeneousBasisCache:
         assert cold.constants.tobytes() == warm.constants.tobytes()
 
     def test_least_recently_used_evicted_first(self, monkeypatch):
-        ops = [OperatorFactorization(linear=(FirstOrderOp(a),)) for a in (1.0, 2.0, 3.0, 4.0, 5.0)]
-        homogeneous_basis.cache_clear()
+        # five orders of three linear factors: five bases of one size on the same three factorizations
+        factors = [FirstOrderOp(a) for a in (1.0, 2.0, 3.0)]
+        ops = [OperatorFactorization(linear=p) for p in itertools.islice(itertools.permutations(factors), 5)]
+        clear_caches()
         bases = [weakref.ref(homogeneous_basis(op, 64)) for op in ops[:3]]
         size = homogeneous_basis.cache_info().nbytes // 3
         assert all(factored._basis_nbytes(op, 64) == size for op in ops)
-        monkeypatch.setattr(factored, "BASIS_CACHE_BYTES", 3 * size)
+        monkeypatch.setattr(cache, "CACHE_BYTES", 3 * size + _first_order_factorization.cache_info().nbytes)
         assert homogeneous_basis(ops[0], 64) is bases[0]()  # now ops[1] is the least recently used
         bases.append(weakref.ref(homogeneous_basis(ops[3], 64)))
         assert [b() is None for b in bases] == [False, True, False, False]
@@ -657,24 +695,31 @@ class TestHomogeneousBasisCache:
         assert [b() is None for b in bases] == [False, True, True, False, False]
         info = homogeneous_basis.cache_info()
         assert (info.hits, info.misses, info.currsize, info.nbytes) == (1, 5, 3, 3 * size)
+        assert cached_bytes() == cache.CACHE_BYTES
         homogeneous_basis.cache_clear()
         assert all(b() is None for b in bases)
 
     def test_a_basis_over_the_bound_is_kept_alone(self, monkeypatch):
         small = OperatorFactorization(linear=(FirstOrderOp(1.0),))
         ops, f, bcs = fourth_order_ops(30.0, 60.0), np.cos, table_1e_bcs()
-        homogeneous_basis.cache_clear()
+        clear_caches()
         evicted = weakref.ref(homogeneous_basis(small, 64))
+        monkeypatch.setattr(cache, "CACHE_BYTES", 4 << 20)
         chain, first = chain_and_solution(ops[0], f, bcs, 131072)
-        info = homogeneous_basis.cache_info()
-        assert factored._basis_nbytes(ops[0], 131072) == info.nbytes > factored.BASIS_CACHE_BYTES
-        assert info.currsize == 1 and evicted() is None
         again, second = chain_and_solution(ops[0], f, bcs, 131072)
-        assert again.basis is chain.basis and homogeneous_basis.cache_info().hits == 1
+        assert_chains_equal(again, chain)
         assert_solutions_equal(second, first)
+        basis = homogeneous_basis(ops[0], 131072)
+        info = homogeneous_basis.cache_info()
+        assert factored._basis_nbytes(ops[0], 131072) == info.nbytes > cache.CACHE_BYTES
+        # alone: the small basis, and the factorizations and rows stored before it, are gone
+        assert info.currsize == 1 and cached_bytes() == info.nbytes and evicted() is None
+        # kept until the next entry is stored: a lookup hits it
+        assert homogeneous_basis(ops[0], 131072) is basis and homogeneous_basis.cache_info().hits == info.hits + 1
         # a miss makes room before it builds: the next large basis is built with the last one freed
-        big, alive_at_build = weakref.ref(chain.basis), []
-        del chain, again
+        big, alive_at_build = weakref.ref(basis), []
+        del chain, again, basis
+        assert big() is not None  # the cache holds it
         build = homogeneous_basis._build
 
         def watched(op, m):
@@ -687,8 +732,8 @@ class TestHomogeneousBasisCache:
         # and the next entry, however small, evicts the large one: the bound holds beside the entry just used
         homogeneous_basis(small, 64)
         info = homogeneous_basis.cache_info()
-        assert info.currsize == 1 and info.nbytes <= factored.BASIS_CACHE_BYTES
-        homogeneous_basis.cache_clear()
+        assert info.currsize == 1 and cached_bytes() <= cache.CACHE_BYTES
+        clear_caches()
 
     def test_kept_results_hold_only_their_coefficients(self):
         # after the caches are cleared, results keep neither their chains nor the basis
@@ -707,8 +752,8 @@ class TestHomogeneousBasisCache:
         assert held < 1.5 * sum(sol.coeffs.a.nbytes for sol in kept)
 
     def test_concurrent_solves_match_serial_solves(self):
-        # threads race on the cache entries and their row and read memos; every
-        # result must still be the serial one
+        # threads race on the cache's entries of every kind, its count of bytes being built, and the bases'
+        # read memos; every result must still be the serial one
         ops = fourth_order_ops(30.0, 60.0)
         d = BoundaryCondition.derivative
         bc_sets = [table_1e_bcs(), [dirichlet(-1, 1.0), dirichlet(1, 0.0), d(-1, 2, 1.0), d(1, 1, 2.0)]]
@@ -719,7 +764,7 @@ class TestHomogeneousBasisCache:
             return solve_bvp(op, lambda y: np.cos(k * y), bcs, m=2048)
 
         serial = [solve(job) for job in jobs]
-        homogeneous_basis.cache_clear()
+        clear_caches()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -731,3 +776,5 @@ class TestHomogeneousBasisCache:
         for a, b in zip(results, serial):
             np.testing.assert_array_equal(a.coeffs.a, b.coeffs.a)
             np.testing.assert_array_equal(a.constants, b.constants)
+        assert cache._building == 0  # every build's room was given back
+        assert cached_bytes() <= cache.CACHE_BYTES

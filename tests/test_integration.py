@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from chebbvp import clear_caches
 from chebbvp.chebyshev import (
     ChebCoeffs,
+    apply_endpoint_row,
     double_integral_rows,
-    endpoint_derivative,
+    endpoint_row,
     function_to_coeffs,
     integral_rows,
 )
@@ -74,7 +75,7 @@ class TestFirstOrderHomogeneous:
 
     def test_exponential_ratio(self):
         u = homogeneous_starts(FirstOrderOp(1.0), 32)[0]
-        plus, minus = endpoint_derivative(u, 1, 0), endpoint_derivative(u, -1, 0)
+        plus, minus = apply_endpoint_row(u, endpoint_row(32, 1, 0)), apply_endpoint_row(u, endpoint_row(32, -1, 0))
         assert plus / minus == pytest.approx(np.e**2, rel=1e-10)
 
     @pytest.mark.parametrize("a", [-3.0, 0.5, 1e3])
@@ -202,6 +203,11 @@ class TestProperties:
         # 1 + 1 and 2 + 1 solves through the linear factors, 3 + 2 through the quadratic
         assert (first.misses, second.misses) == (2, 1)
         assert (first.hits, second.hits) == (3, 4)
+        # an entry's counted bytes are its LU factors and pivots
+        for kind, factors in ((_first_order_factorization, op.linear), (_second_order_factorization, op.quadratic)):
+            lus = [kind(factor, 16) for factor in factors]
+            assert kind.cache_info().nbytes == sum(lu.lu.nbytes + lu.ipiv.nbytes for lu in lus)
+        first, second = _first_order_factorization.cache_info(), _second_order_factorization.cache_info()
         # a second right-hand side reuses the homogeneous chains: only the
         # particular chain passes through each factor again
         solve_chains(op, ChebCoeffs(16, rng.standard_normal(17)))

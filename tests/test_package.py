@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import chebbvp
-from chebbvp import banded, chebyshev, cli, diffmat, factored, integration
+from chebbvp import banded, cache, chebyshev, cli, diffmat, factored, integration
 
 LIBRARY_API = {
     # problem types
@@ -20,7 +20,7 @@ LIBRARY_API = {
     "sample_piecewise", "overshoot",
     # the fig. 2 spectrum
     "dense_export", "singular_spectrum", "SpectrumReport",
-    # the solver caches
+    # the solver's cache
     "clear_caches",
 }
 
@@ -47,12 +47,21 @@ MODULE_ONLY = [
     "problems.exact_function",
 ]
 
+# the kinds of entry in the one cache
 CACHES = (
     integration._first_order_factorization,
     integration._second_order_factorization,
     diffmat.diff_endpoint_row,
     factored.homogeneous_basis,
+    chebyshev.endpoint_row,
 )
+# the handles the benchmark clears before each cold op
+BENCHMARK_CLEARED = CACHES[:3]
+
+
+def cached_bytes():
+    """The bytes of every entry in the solver's cache."""
+    return sum(nbytes for _, nbytes in cache._entries.values())
 
 
 def test_root_exports_the_library_api():
@@ -70,16 +79,37 @@ def test_lives_in_its_module_only(qualname):
     assert not hasattr(chebbvp, name)
 
 
-def test_clear_caches_empties_every_solver_cache():
+def fill_every_cache():
     op = factored.OperatorFactorization(
         linear=(integration.FirstOrderOp(3.0),), quadratic=(integration.SecondOrderOp(1.0, 2.0),)
     )
     bc = factored.BoundaryCondition
     chebbvp.solve_bvp(op, np.cos, [bc.dirichlet(-1, 0.0), bc.dirichlet(1, 0.0), bc.derivative(-1, 1, 0.0)], m=32)
     diffmat.diff_endpoint_row(32, 1)
-    assert all(cache.cache_info().currsize > 0 for cache in CACHES)
+    assert all(kind.cache_info().currsize > 0 for kind in CACHES)
+
+
+def test_clear_caches_empties_every_solver_cache():
+    assert chebbvp.clear_caches is cache.clear
+    assert set(CACHES) == set(cache._kinds)
+    fill_every_cache()
     chebbvp.clear_caches()
-    assert [cache.cache_info().currsize for cache in CACHES] == [0, 0, 0, 0]
+    assert [kind.cache_info() for kind in CACHES] == [(0, 0, 0, 0)] * 5
+    assert cached_bytes() == 0 and not cache._entries
+
+
+def test_a_handle_clears_its_own_kind_only():
+    chebbvp.clear_caches()
+    fill_every_cache()
+    kept = {kind: kind.cache_info() for kind in CACHES[3:]}
+    for kind in BENCHMARK_CLEARED:
+        kind.cache_clear()
+    assert [kind.cache_info() for kind in BENCHMARK_CLEARED] == [(0, 0, 0, 0)] * 3
+    # the bases and the Chebyshev endpoint rows stay, with their counts
+    assert {kind: kind.cache_info() for kind in CACHES[3:]} == kept
+    assert cached_bytes() == sum(info.nbytes for info in kept.values())
+    chebbvp.clear_caches()
+    assert cached_bytes() == 0 and not cache._entries
 
 
 OP = factored.OperatorFactorization(linear=(integration.FirstOrderOp(3.0),))

@@ -12,7 +12,7 @@ import pytest
 
 from chebbvp import piecewise as piecewise_module
 from chebbvp.banded import SingularSystemError, _equilibrate_rows, dense_solve
-from chebbvp.chebyshev import GridValues, endpoint_derivative, eval_series, to_coeffs
+from chebbvp.chebyshev import GridValues, apply_endpoint_row, endpoint_row, eval_series, to_coeffs
 from chebbvp.cli import builtin_spec_text
 from chebbvp.diffmat import AffineConvectionOp, diff_endpoint_row
 from chebbvp.factored import BoundaryCondition, OperatorFactorization, solve_bvp
@@ -227,9 +227,9 @@ def matched_level_jumps(op, f, grid, sol):
     def functional(chain, idx, j, endpoint):
         # chains missing from a level are exactly zero there
         if j in chain.levels:
-            vals = [endpoint_derivative(c, endpoint, 0) for c in chain.levels[j]]
+            vals = [apply_endpoint_row(c, endpoint_row(c.m, endpoint, 0)) for c in chain.levels[j]]
         else:
-            vals = [endpoint_derivative(c, endpoint, 1) for c in chain.levels[j - 1]]
+            vals = [apply_endpoint_row(c, endpoint_row(c.m, endpoint, 1)) for c in chain.levels[j - 1]]
         assert 1 <= len(vals) <= r + 1
         return vals[0] + sum(sol.constants[idx, h] * v for h, v in enumerate(vals[1:]))
 
@@ -343,6 +343,11 @@ class TestIntervalRhs:
     def test_callable_returns_one_value_per_point(self, solve):
         with pytest.raises(ValueError, match=r"interval 0 right-hand side has shape \(\), expected \(9,\)"):
             solve(self.OP, lambda y: 0.0, self.GRID, self.BCS)
+
+    def test_arrays_in_place_of_grid_values(self, solve):
+        arrays = [values.v for values in self.values(np.cos)]
+        with pytest.raises(TypeError, match="^interval 0 right-hand side is ndarray, expected GridValues$"):
+            solve(self.OP, arrays, self.GRID, self.BCS)
 
 
 class TestDiffmatBackend:
