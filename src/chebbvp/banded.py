@@ -102,6 +102,11 @@ def banded_factor(a: BandedMatrix) -> BandedFactorization:
     return BandedFactorization(a.n, a.kl, a.ku, lu, ipiv)
 
 
+def factor_nbytes(n: int, kl: int, ku: int) -> int:
+    """Bytes of ``banded_factor``'s result: 2 kl + ku + 1 rows of n doubles of LU and n 32-bit pivots."""
+    return n * (8 * (2 * kl + ku + 1) + 4)
+
+
 def banded_solve(f: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs against a prior factorization: one ``dgbtrs`` over all its rows."""
     x = np.array(rhs, dtype=float)

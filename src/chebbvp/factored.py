@@ -16,7 +16,9 @@ with the endpoint reads of the fit, in the solver's byte-bounded cache
 (``cache``).  Each interval of a piecewise grid has its own rescaled
 operator and so its own entry.  ``solve_chains`` then pushes only f
 through the factors: with the banded factorizations cached too, a repeated
-solve on any grid costs one banded solve per factor and interval.
+solve on any grid costs one banded solve per factor and interval.  A solve
+holds every entry it uses (``cache.hold``), so the repeated solve finds
+them all even when together they exceed the cache's bound.
 
 The boundary conditions are fitted last, by one fit for single and
 piecewise grids (a single grid is one interval).  Every row, boundary and
@@ -38,7 +40,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .banded import SingularSystemError, dense_solve
-from .cache import memoize
+from .cache import hold, memoize
 from .chebyshev import (
     ChebCoeffs,
     GridValues,
@@ -177,12 +179,17 @@ def _factor_steps(op: OperatorFactorization):
 
 
 def _basis_nbytes(op: OperatorFactorization, m: int) -> int:
-    """Bytes of op's basis on the order-m grid: its chain levels and four reads (orders 0, 1) per level.
+    """Bytes of op's basis on the order-m grid, known before it is built.
 
-    The level below i linear factors holds i chains, and the one below j quadratic ones after them n + 2j."""
-    n, q = len(op.linear), len(op.quadratic)
-    chains = n * (n + 1) // 2 + q * n + q * (q + 1)
-    return 8 * ((m + 1) * chains + 4 * (n + q) * op.order)
+    Its chain levels, and the most its read memo can hold: the fit reads
+    orders 0 and 1 only, so four reads per level.
+    """
+    chains = levels = running = 0
+    for *_, starts in _factor_steps(op):
+        running += len(starts)
+        chains += running
+        levels += 1
+    return 8 * ((m + 1) * chains + 4 * levels * running)
 
 
 @memoize(_basis_nbytes)
@@ -356,6 +363,7 @@ def _check_order(op: OperatorFactorization, m: int):
         raise ValueError(f"order-{op.order} factored solve needs M >= {op.order + 3}, got {m}")
 
 
+@hold()
 def solve_bvp(
     op: OperatorFactorization,
     f: RightHandSide,

@@ -66,7 +66,7 @@ from math import asinh, hypot, inf, isfinite, log, log1p
 
 import numpy as np
 
-from .banded import BandedFactorization, BandedMatrix, banded_factor, banded_solve
+from .banded import BandedFactorization, BandedMatrix, banded_factor, banded_solve, factor_nbytes
 from .cache import memoize
 from .chebyshev import (
     ChebCoeffs,
@@ -129,13 +129,13 @@ def second_order_matrix(op: SecondOrderOp, m: int) -> BandedMatrix:
     )
 
 
-# an entry's bytes: 2 kl + ku + 1 rows of n doubles of LU and n 32-bit pivots (4.7 / 7.9 MB at M = 131072)
-@memoize(lambda op, m: 36 * (m - 1))
+# an entry's bytes: the factors of first_order_matrix and second_order_matrix (4.7 / 7.9 MB at M = 131072)
+@memoize(lambda op, m: factor_nbytes(m - 1, 1, 1))
 def _first_order_factorization(op: FirstOrderOp, m: int) -> BandedFactorization:
     return banded_factor(first_order_matrix(op, m))
 
 
-@memoize(lambda op, m: 60 * (m - 2))
+@memoize(lambda op, m: factor_nbytes(m - 2, 2, 2))
 def _second_order_factorization(op: SecondOrderOp, m: int) -> BandedFactorization:
     return banded_factor(second_order_matrix(op, m))
 

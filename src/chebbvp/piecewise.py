@@ -38,6 +38,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .banded import dense_solve
+from .cache import hold
 from .chebyshev import (
     ChebCoeffs,
     GridValues,
@@ -142,6 +143,7 @@ def _interval_values(f: PiecewiseRhs, grid: PiecewiseGrid, i: int) -> GridValues
     return GridValues(m, v)
 
 
+@hold()
 def piecewise_solve_spectral(
     op: OperatorFactorization,
     f: PiecewiseRhs,

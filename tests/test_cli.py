@@ -307,11 +307,6 @@ class TestRun:
             run(spec, "spectral")
 
 
-def cached_bytes():
-    """The bytes of every entry in the solver's cache."""
-    return sum(nbytes for _, nbytes in cache._entries.values())
-
-
 def same_grid(a, b):
     if isinstance(a, PiecewiseGrid) and isinstance(b, PiecewiseGrid):
         return a.orders == b.orders and a.nodes.tolist() == b.nodes.tolist()
@@ -561,7 +556,7 @@ class TestMain:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {prefix}{match}")
 
-    def test_table_1e_makes_no_factorization_twice(self, monkeypatch):
+    def test_factorization_caches_are_bounded(self, monkeypatch):
         built = []
         for kind in (_first_order_factorization, _second_order_factorization):
             monkeypatch.setattr(kind, "_build", lambda op, m, build=kind._build: built.append((op, m)) or build(op, m))
@@ -569,11 +564,6 @@ class TestMain:
         reproduce_tables("1e")
         # under the shipped bound a whole table run factors each (factor, order) once
         assert len(built) == len(set(built)) > 0
-        clear_caches()
-
-    def test_factorization_caches_are_bounded(self):
-        clear_caches()
-        reproduce_tables("1e")
         reproduce_tables("1a")
         reproduce_tables("1c")
         m, size = 65536, 36 * 65535  # a first-order factorization's bytes: 4 LU rows of doubles, 32-bit pivots
@@ -581,7 +571,7 @@ class TestMain:
             _first_order_factorization(FirstOrderOp(k + 0.5), m)
         # one bound on the bytes of every entry: the newest factorizations evicted every older entry of any kind
         kinds = [kind.cache_info() for kind in cache._kinds]
-        assert sum(info.nbytes for info in kinds) == cached_bytes() <= cache.CACHE_BYTES
+        assert sum(info.nbytes for info in kinds) == cache._total <= cache.CACHE_BYTES
         assert _first_order_factorization.cache_info().currsize == cache.CACHE_BYTES // size
         assert sum(info.currsize for info in kinds) == cache.CACHE_BYTES // size
         clear_caches()

@@ -519,15 +519,11 @@ def assert_chains_equal(a, b):
             np.testing.assert_array_equal(x.a, y.a)
 
 
-def cached_bytes():
-    """The bytes of every entry in the solver's cache."""
-    return sum(nbytes for _, nbytes in cache._entries.values())
-
-
 def chain_and_solution(op, f, bcs, m):
     """What solve_bvp(op, f, bcs, m) runs, with the chains it fits."""
-    chain = solve_chains(op, function_to_coeffs(f, m))
-    return chain, fit_boundary(chain, bcs)
+    with cache.hold():
+        chain = solve_chains(op, function_to_coeffs(f, m))
+        return chain, fit_boundary(chain, bcs)
 
 
 class TestHomogeneousBasisCache:
@@ -615,12 +611,12 @@ class TestHomogeneousBasisCache:
         # a warm solve uses the basis before the factorizations and rows: the basis is now the least recently used
         # entry, and a bound at the cache's bytes makes the next basis evict it and nothing else
         chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 32)
-        monkeypatch.setattr(cache, "CACHE_BYTES", cached_bytes())
+        monkeypatch.setattr(cache, "CACHE_BYTES", cache._total)
         swapped = OperatorFactorization(MIXED_OP.linear[::-1], MIXED_OP.quadratic)  # the same factorizations
         second, _ = chain_and_solution(swapped, np.cos, table_1e_bcs(), 32)
         assert homogeneous_basis.cache_info().currsize == 1
         assert second.basis is not basis
-        assert cached_bytes() == cache.CACHE_BYTES
+        assert cache._total == cache.CACHE_BYTES
         # a re-solve rebuilds the evicted basis bitwise on every level
         rebuilt, resolved = chain_and_solution(MIXED_OP, np.cos, table_1e_bcs(), 32)
         assert rebuilt.basis is not basis
@@ -695,7 +691,7 @@ class TestHomogeneousBasisCache:
         assert [b() is None for b in bases] == [False, True, True, False, False]
         info = homogeneous_basis.cache_info()
         assert (info.hits, info.misses, info.currsize, info.nbytes) == (1, 5, 3, 3 * size)
-        assert cached_bytes() == cache.CACHE_BYTES
+        assert cache._total == cache.CACHE_BYTES
         homogeneous_basis.cache_clear()
         assert all(b() is None for b in bases)
 
@@ -706,20 +702,15 @@ class TestHomogeneousBasisCache:
         evicted = weakref.ref(homogeneous_basis(small, 64))
         monkeypatch.setattr(cache, "CACHE_BYTES", 4 << 20)
         chain, first = chain_and_solution(ops[0], f, bcs, 131072)
-        again, second = chain_and_solution(ops[0], f, bcs, 131072)
-        assert_chains_equal(again, chain)
-        assert_solutions_equal(second, first)
-        basis = homogeneous_basis(ops[0], 131072)
         info = homogeneous_basis.cache_info()
         assert factored._basis_nbytes(ops[0], 131072) == info.nbytes > cache.CACHE_BYTES
-        # alone: the small basis, and the factorizations and rows stored before it, are gone
-        assert info.currsize == 1 and cached_bytes() == info.nbytes and evicted() is None
-        # kept until the next entry is stored: a lookup hits it
-        assert homogeneous_basis(ops[0], 131072) is basis and homogeneous_basis.cache_info().hits == info.hits + 1
+        assert info.currsize == 1 and evicted() is None
+        again, second = chain_and_solution(ops[0], f, bcs, 131072)
+        assert again.basis is chain.basis and homogeneous_basis.cache_info().hits == 1
+        assert_solutions_equal(second, first)
         # a miss makes room before it builds: the next large basis is built with the last one freed
-        big, alive_at_build = weakref.ref(basis), []
-        del chain, again, basis
-        assert big() is not None  # the cache holds it
+        big, alive_at_build = weakref.ref(chain.basis), []
+        del chain, again
         build = homogeneous_basis._build
 
         def watched(op, m):
@@ -732,7 +723,23 @@ class TestHomogeneousBasisCache:
         # and the next entry, however small, evicts the large one: the bound holds beside the entry just used
         homogeneous_basis(small, 64)
         info = homogeneous_basis.cache_info()
-        assert info.currsize == 1 and cached_bytes() <= cache.CACHE_BYTES
+        assert info.currsize == 1 and cache._total <= cache.CACHE_BYTES
+        clear_caches()
+
+    def test_a_warm_solve_over_the_bound_makes_nothing(self):
+        # (D-+30)(D-+60) at M = 131072 uses a 10.5 MB basis, 18.9 MB of factorizations and 4.2 MB of rows: the
+        # solve holds them all, over the shipped bound, and a warm re-solve hits every one
+        op, bcs, m = fourth_order_ops(30.0, 60.0)[0], table_1e_bcs(), 131072
+        clear_caches()
+        first = solve_bvp(op, np.cos, bcs, m=m)
+        assert cache._total > cache.CACHE_BYTES
+        misses = [kind.cache_info().misses for kind in cache._kinds]
+        assert_solutions_equal(solve_bvp(op, np.cos, bcs, m=m), first)
+        assert [kind.cache_info().misses for kind in cache._kinds] == misses
+        assert homogeneous_basis.cache_info().hits == 1
+        # the hold ends with the solve: the next miss evicts what the bound cannot keep
+        solve_bvp(OperatorFactorization(linear=(FirstOrderOp(1.0),)), np.cos, [dirichlet(-1, 0.0)], m=64)
+        assert cache._total <= cache.CACHE_BYTES
         clear_caches()
 
     def test_kept_results_hold_only_their_coefficients(self):
@@ -776,5 +783,5 @@ class TestHomogeneousBasisCache:
         for a, b in zip(results, serial):
             np.testing.assert_array_equal(a.coeffs.a, b.coeffs.a)
             np.testing.assert_array_equal(a.constants, b.constants)
-        assert cache._building == 0  # every build's room was given back
-        assert cached_bytes() <= cache.CACHE_BYTES
+        assert cache._building == 0 and not cache._held  # every build gave back its room, every solve its hold
+        assert cache._total == sum(nbytes for _, nbytes in cache._entries.values()) <= cache.CACHE_BYTES

@@ -59,11 +59,6 @@ CACHES = (
 BENCHMARK_CLEARED = CACHES[:3]
 
 
-def cached_bytes():
-    """The bytes of every entry in the solver's cache."""
-    return sum(nbytes for _, nbytes in cache._entries.values())
-
-
 def test_root_exports_the_library_api():
     assert len(chebbvp.__all__) == len(LIBRARY_API) == 27
     assert set(chebbvp.__all__) == LIBRARY_API
@@ -95,7 +90,7 @@ def test_clear_caches_empties_every_solver_cache():
     fill_every_cache()
     chebbvp.clear_caches()
     assert [kind.cache_info() for kind in CACHES] == [(0, 0, 0, 0)] * 5
-    assert cached_bytes() == 0 and not cache._entries
+    assert cache._total == 0 and not cache._entries
 
 
 def test_a_handle_clears_its_own_kind_only():
@@ -107,9 +102,9 @@ def test_a_handle_clears_its_own_kind_only():
     assert [kind.cache_info() for kind in BENCHMARK_CLEARED] == [(0, 0, 0, 0)] * 3
     # the bases and the Chebyshev endpoint rows stay, with their counts
     assert {kind: kind.cache_info() for kind in CACHES[3:]} == kept
-    assert cached_bytes() == sum(info.nbytes for info in kept.values())
+    assert cache._total == sum(info.nbytes for info in kept.values())
     chebbvp.clear_caches()
-    assert cached_bytes() == 0 and not cache._entries
+    assert cache._total == 0 and not cache._entries
 
 
 OP = factored.OperatorFactorization(linear=(integration.FirstOrderOp(3.0),))
