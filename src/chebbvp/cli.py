@@ -6,7 +6,7 @@
 
 CSV goes to stdout (byte-identical for identical inputs); timings and
 diagnostics go to stderr.  Exit codes: 0 ok, 1 tolerance failure, 2 input
-error.
+error (a grid too large to allocate is one).
 
 Errors against a named exact solution are measured in the sup norm over the
 solution's own collocation points.  That sampling is Chebyshev-clustered,
@@ -177,7 +177,8 @@ def main(argv=None) -> int:
         if args.command == "diag":
             sys.stdout.write(spectrum_csv(spectrum(load_problem(args.file))))
             return 0
-    except (ProblemFormatError, SingularSystemError, ValueError, OSError) as exc:
+    # a grid too large to allocate (numpy's MemoryError) is an input error too
+    except (ProblemFormatError, SingularSystemError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .integration import (
-    FirstOrderOp,
-    SecondOrderOp,
-    first_order_matrix,
-    second_order_matrix,
-)
+from .integration import FirstOrderOp, SecondOrderOp, factor_matrix
 
 _DENSE_LIMIT = 2048
 _LOCAL_HEAD = 10
@@ -50,11 +45,9 @@ def dense_export(op, m: int) -> np.ndarray:
     """The spectral-integration system as a dense matrix (analysis only)."""
     if m > _DENSE_LIMIT:
         raise ValueError(f"dense analysis limited to m <= {_DENSE_LIMIT}")
-    if isinstance(op, FirstOrderOp):
-        return first_order_matrix(op, m).todense()
-    if isinstance(op, SecondOrderOp):
-        return second_order_matrix(op, m).todense()
-    raise TypeError(f"unsupported operator {type(op).__name__}")
+    if not isinstance(op, (FirstOrderOp, SecondOrderOp)):
+        raise TypeError(f"unsupported operator {type(op).__name__}")
+    return factor_matrix(op, m).todense()
 
 
 def jacobi_svd(a: np.ndarray, compute_vectors: bool = True):

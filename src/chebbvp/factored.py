@@ -1,14 +1,15 @@
 """Boundary value problems for operators given in factored form.
 
 An operator L = (D-a_1)...(D-a_m)(D^2+b_1 D+c_1)...(D^2+b_n D+c_n) of order
-r = m + 2n is solved by chaining the first- and second-order solvers.
-Each factor pushes every chain already running through one particular
-solve, and then starts its own homogeneous chains: one for a linear factor,
-normalized to T_0 = 1, and two for a quadratic one, normalized to T_0 = 1
-and to T_1 = 1.  Chain level k holds the quantity with k "derivatives"
-relative to the level-0 solution, so level 0 of the particular chain
-satisfies L u = f discretely and level 0 of each homogeneous chain
-satisfies L u = 0.
+r = m + 2n is solved by chaining its factors.  Each factor, read as its
+order and coefficients (D^q + p_1 D^(q-1) + ... + p_q, q = 1 or 2), pushes
+every chain already running through one particular solve
+(``integration.particular``), and then starts its own homogeneous chains:
+one for a linear factor, normalized to T_0 = 1, and two for a quadratic
+one, normalized to T_0 = 1 and to T_1 = 1.  Chain level k holds the
+quantity with k "derivatives" relative to the level-0 solution, so level 0
+of the particular chain satisfies L u = f discretely and level 0 of each
+homogeneous chain satisfies L u = 0.
 
 The homogeneous chains depend only on the operator and M, so
 ``homogeneous_basis`` builds them once per (operator, M) and keeps them,
@@ -50,7 +51,7 @@ from .chebyshev import (
     grid_order,
     to_coeffs,
 )
-from .integration import FirstOrderOp, SecondOrderOp, first_order_particular, second_order_particular
+from .integration import FirstOrderOp, SecondOrderOp, particular
 
 
 @dataclass(frozen=True)
@@ -161,21 +162,20 @@ class Solution:
 
 
 def _factor_steps(op: OperatorFactorization):
-    """(factor, particular solver, level below it, homogeneous starts) for each factor in order.
+    """(factor, level below it, homogeneous starts) for each factor in order.
 
-    A start (unit, forcing) is the stored forcing of minus the factor applied
-    to 1/2 (unit 0) or to T_1 (unit 1).
+    A start (unit, forcing) is the stored forcing of minus the factor
+    D^r + p_1 D^(r-1) + ... + p_r applied to 1/2 (unit 0) or to T_1 (unit 1,
+    r = 2 only): -p_r/2, stored as the T_0 coefficient -p_r, and
+    -(p_1 + p_2 T_1), stored as (-2 p_1, -p_2).
     """
     level = op.order
     for factor in op.linear + op.quadratic:
-        if isinstance(factor, FirstOrderOp):
-            level -= 1
-            # forcing a/2, whose stored T_0 coefficient is a
-            yield factor, first_order_particular, level, ((0, (factor.a,)),)
-        else:
-            level -= 2
-            # forcings -c/2 (for 1/2) and -(b + c T_1) (for T_1), stored
-            yield factor, second_order_particular, level, ((0, (-factor.c,)), (1, (-2.0 * factor.b, -factor.c)))
+        p, level = factor.poly, level - factor.order
+        starts = ((0, (-p[-1],)),)
+        if factor.order == 2:
+            starts += ((1, (-2.0 * p[0], -p[1])),)
+        yield factor, level, starts
 
 
 def _basis_nbytes(op: OperatorFactorization, m: int) -> int:
@@ -205,12 +205,12 @@ def homogeneous_basis(op: OperatorFactorization, m: int) -> HomogeneousBasis:
     """
     running: list[ChebCoeffs] = []
     levels: dict[int, tuple[ChebCoeffs, ...]] = {}
-    for factor, solve, level, starts in _factor_steps(op):
-        running = [solve(factor, c) for c in running]
+    for factor, level, starts in _factor_steps(op):
+        running = [particular(factor, c) for c in running]
         for unit, forcing in starts:
             g = np.zeros(m + 1)
             g[: len(forcing)] = forcing
-            u = solve(factor, ChebCoeffs._adopt(m, g, len(forcing)))
+            u = particular(factor, ChebCoeffs._adopt(m, g, len(forcing)))
             s = max(u.support, unit + 1)  # the start is u with its T_unit coefficient set to 1
             a = np.zeros(m + 1)
             a[:s] = u.a[:s]
@@ -230,8 +230,8 @@ def solve_chains(op: OperatorFactorization, f: ChebCoeffs) -> ChainSolution:
     _check_order(op, f.m)
     basis = homogeneous_basis(op, f.m)
     part, levels = f, {}
-    for factor, solve, level, _ in _factor_steps(op):
-        part = solve(factor, part)
+    for factor, level, _ in _factor_steps(op):
+        part = particular(factor, part)
         levels[level] = (part,) + basis.levels[level]
     return ChainSolution(op, f.m, levels, basis)
 
@@ -294,20 +294,19 @@ def fit_constants(
 def _derivative_reads(op: OperatorFactorization, weights, half_width: float) -> dict[tuple[int, int], float]:
     """sum_d w_d u^(d) on an interval of half_width as {(level, order): weight}, order <= 1.
 
-    The factor above level k reduces D^j level_k, j >= 2: D - a by D level_k = level_{k+1} + a level_k,
-    and D^2 + b D + c by D^2 level_k = level_{k+2} - b D level_k - c level_k.  Zero weights are not read.
+    The factor D^r + p_1 D^(r-1) + ... + p_r above level k reduces D^j level_k, j >= 2, by
+    D^r level_k = level_{k+r} - sum_i p_i D^(r-i) level_k.  Zero weights are not read.
     """
-    above = {level: factor for factor, _, level, _ in _factor_steps(op)}
+    above = {level: factor for factor, level, _ in _factor_steps(op)}
     reads: dict[tuple[int, int], float] = {}
     todo = [(0, d, w / half_width**d) for d, w in weights]  # (level k, order j, weight) of D^j level_k
     while todo:
         k, j, w = todo.pop()
         if j <= 1:
             reads[k, j] = reads.get((k, j), 0.0) + w
-        elif isinstance(f := above[k], FirstOrderOp):
-            todo += [(k + 1, j - 1, w), (k, j - 1, w * f.a)]
         else:
-            todo += [(k + 2, j - 2, w), (k, j - 1, -w * f.b), (k, j - 2, -w * f.c)]
+            p = above[k].poly
+            todo += [(k + len(p), j - len(p), w)] + [(k, j - i, -w * p_i) for i, p_i in enumerate(p, 1)]
     return {key: w for key, w in reads.items() if w != 0.0}
 
 

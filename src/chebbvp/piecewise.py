@@ -82,8 +82,12 @@ class PiecewiseGrid:
             raise ValueError("need at least two nodes")
         if not np.all(np.isfinite(nodes)):
             raise ValueError("nodes must be finite")
-        if not np.all(np.diff(nodes) > 0):
+        with np.errstate(over="ignore"):  # a width past the largest float is inf, rejected below
+            widths = np.diff(nodes)
+        if not np.all(widths > 0):
             raise ValueError("nodes must be strictly increasing")
+        if not np.all(np.isfinite(widths)):
+            raise ValueError("interval widths must be finite")
         orders = tuple(grid_order(m) for m in self.orders)
         if len(orders) != len(nodes) - 1:
             raise ValueError("need one grid order per interval")

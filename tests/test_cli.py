@@ -522,6 +522,23 @@ class TestMain:
             outputs.append((main(["solve", self._spec_path(tmp_path, text), "--backend", backend]), capsys.readouterr()))
         assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
+    def test_solve_unallocatable_grid_exits_2(self, tmp_path, capsys):
+        # numpy refuses 8e18 bytes at once; never ask tier-1 for a size that could be allocated
+        path = self._spec_path(tmp_path, MINIMAL_FIRST_ORDER.replace("m = 16", "m = 1e18"))
+        assert main(["solve", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: Unable to allocate") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("backend", ["spectral", "diffmat"])
+    def test_solve_overflowing_interval_width_exits_2(self, tmp_path, capsys, backend):
+        # -1e308 to 1e308 is wider than the largest float
+        path = self._spec_path(tmp_path, MINIMAL_FIRST_ORDER.replace("m = 16", "nodes = -1e308 1e308\norders = 16"))
+        assert main(["solve", path, "--backend", backend]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: line 9: interval widths must be finite\n"
+
     def test_solve_oversized_collocation_system_exits_2(self, tmp_path, capsys):
         text = builtin_spec_text("table3.spec").replace("orders = 32 32 32\n", "orders = 4096 4096 4096\n", 1)
         path = self._spec_path(tmp_path, text)

@@ -13,7 +13,8 @@ from chebbvp.diagnostics import (
     singular_spectrum,
     spectrum_csv,
 )
-from chebbvp.integration import FirstOrderOp, SecondOrderOp, second_order_matrix
+from chebbvp.factored import OperatorFactorization
+from chebbvp.integration import FirstOrderOp, SecondOrderOp, factor_matrix
 
 
 class TestDenseExport:
@@ -23,7 +24,7 @@ class TestDenseExport:
     def test_matches_banded_assembly_bitwise(self):
         op = SecondOrderOp(3.0, -7.0)
         dense = dense_export(op, 24)
-        banded = second_order_matrix(op, 24)
+        banded = factor_matrix(op, 24)
         for i in range(22):
             for j in range(max(0, i - 2), min(22, i + 3)):
                 assert dense[i, j] == banded.bands[banded.ku + i - j, j]
@@ -31,6 +32,10 @@ class TestDenseExport:
     def test_figure2_configuration_shape(self):
         a = dense_export(SecondOrderOp(1e5, -1e6), 128)
         assert a.shape == (126, 126)
+
+    def test_rejects_a_non_factor(self):
+        with pytest.raises(TypeError, match="unsupported operator OperatorFactorization"):
+            dense_export(OperatorFactorization(linear=(FirstOrderOp(1.0),)), 16)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="2048"):

@@ -35,8 +35,7 @@ from chebbvp.integration import (
     FirstOrderOp,
     SecondOrderOp,
     _first_order_factorization,
-    first_order_residual,
-    second_order_residual,
+    residual,
 )
 from chebbvp.piecewise import PiecewiseGrid, piecewise_solve_spectral
 
@@ -71,8 +70,8 @@ class TestParticularChain:
         f = function_to_coeffs(lambda y: np.cos(2 * y), 24)
         levels = chain_of(solve_chains(op, f).levels, 0)
         assert set(levels) == {2, 0}
-        res1 = first_order_residual(op.linear[0], levels[2], f)
-        res2 = second_order_residual(op.quadratic[0], levels[0], levels[2])
+        res1 = residual(op.linear[0], levels[2], f)
+        res2 = residual(op.quadratic[0], levels[0], levels[2])
         assert np.max(np.abs(res1)) <= 1e-13
         assert np.max(np.abs(res2)) <= 1e-13
 
@@ -125,15 +124,15 @@ class TestHomogeneousChain:
         if h <= mlin:
             start_level = r - h
             assert min(levels) == 0 and max(levels) == start_level
-            res = first_order_residual(op.linear[h - 1], levels[start_level], ChebCoeffs.zeros(m))
+            res = residual(op.linear[h - 1], levels[start_level], ChebCoeffs.zeros(m))
             assert np.max(np.abs(res)) <= 1e-12 * max(1.0, chain_scale)
             for j in range(h + 1, mlin + 1):
-                res = first_order_residual(op.linear[j - 1], levels[r - j], levels[r - j + 1])
+                res = residual(op.linear[j - 1], levels[r - j], levels[r - j + 1])
                 assert np.max(np.abs(res)) <= 1e-12 * max(1.0, chain_scale)
-            res = second_order_residual(op.quadratic[0], levels[0], levels[2])
+            res = residual(op.quadratic[0], levels[0], levels[2])
         else:
             assert set(levels) == {0}
-            res = second_order_residual(op.quadratic[0], levels[0], ChebCoeffs.zeros(m))
+            res = residual(op.quadratic[0], levels[0], ChebCoeffs.zeros(m))
         assert np.max(np.abs(res)) <= 1e-12 * max(1.0, chain_scale)
 
     def test_levels_hold_the_chains_started_at_or_above(self):

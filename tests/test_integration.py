@@ -20,10 +20,9 @@ from chebbvp.integration import (
     SecondOrderOp,
     _first_order_factorization,
     _second_order_factorization,
-    first_order_particular,
-    first_order_residual,
-    second_order_particular,
-    second_order_residual,
+    factor_matrix,
+    particular,
+    residual,
 )
 
 
@@ -36,16 +35,56 @@ def homogeneous_starts(factor, m):
     return solve_chains(op, ChebCoeffs.zeros(m)).levels[0][1:]
 
 
+def recurrence_row(op, n):
+    """{k: coefficient of alpha_k} in row n of the module docstring's recurrence for op."""
+    if isinstance(op, FirstOrderOp):
+        return {n - 1: -op.a / (2 * n), n: 1.0, n + 1: op.a / (2 * n)}
+    b, c = op.b, op.c
+    return {
+        n - 2: c / (4 * n * (n - 1)),
+        n - 1: b / (2 * n),
+        n: 1.0 - c / (2 * (n * n - 1)),
+        n + 1: -b / (2 * n),
+        n + 2: c / (4 * n * (n + 1)),
+    }
+
+
+def recurrence_bands(op, m):
+    """Rows n = r..M-1 of the recurrence in LAPACK band storage, bands[r + i - j, j] = A[i, j]."""
+    r = op.order
+    bands = np.zeros((2 * r + 1, m - r))
+    for n in range(r, m):
+        for k, v in recurrence_row(op, n).items():
+            if r <= k < m:
+                bands[r + n - k, k - r] = v
+    return bands
+
+
+class TestFactorMatrix:
+    @pytest.mark.parametrize("m", [64, 101])
+    @pytest.mark.parametrize("op", [FirstOrderOp(-3.7), SecondOrderOp(1.3, -7.1)])
+    def test_bands_are_the_recurrence_bit_for_bit(self, op, m):
+        mat = factor_matrix(op, m)
+        assert (mat.n, mat.kl, mat.ku) == (m - op.order, op.order, op.order)
+        assert mat.bands.tobytes() == recurrence_bands(op, m).tobytes()
+
+    @pytest.mark.parametrize(
+        "op, m", [(FirstOrderOp(1.0), 2), (SecondOrderOp(0.0, 1.0), 4)], ids=["linear", "quadratic"]
+    )
+    def test_rejects_small_grid(self, op, m):
+        with pytest.raises(ValueError):
+            particular(op, ChebCoeffs.zeros(m))
+
 
 class TestFirstOrderParticular:
     def test_pure_integration_t1(self):
-        u = first_order_particular(FirstOrderOp(0.0), ChebCoeffs.unit(8, 1))
+        u = particular(FirstOrderOp(0.0), ChebCoeffs.unit(8, 1))
         expect = np.zeros(9)
         expect[2] = 0.25
         np.testing.assert_allclose(u.a, expect, atol=1e-15)
 
     def test_pure_integration_t0(self):
-        u = first_order_particular(FirstOrderOp(0.0), ChebCoeffs.unit(8, 0))
+        u = particular(FirstOrderOp(0.0), ChebCoeffs.unit(8, 0))
         expect = np.zeros(9)
         expect[1] = 1.0
         np.testing.assert_allclose(u.a, expect, atol=1e-15)
@@ -53,16 +92,12 @@ class TestFirstOrderParticular:
     def test_manufactured_t2(self):
         # f = (D - 1) T_2 = 4y - (2y^2 - 1); the solution T_2 already has T_0(u) = 0
         f = function_to_coeffs(lambda y: 4 * y - 2 * y**2 + 1, 16)
-        u = first_order_particular(FirstOrderOp(1.0), f)
+        u = particular(FirstOrderOp(1.0), f)
         np.testing.assert_allclose(u.a, ChebCoeffs.unit(16, 2).a, atol=1e-13)
-
-    def test_rejects_small_grid(self):
-        with pytest.raises(ValueError):
-            first_order_particular(FirstOrderOp(1.0), ChebCoeffs.zeros(2))
 
     def test_integral_condition_exact(self):
         f = function_to_coeffs(np.exp, 20)
-        u = first_order_particular(FirstOrderOp(2.5), f)
+        u = particular(FirstOrderOp(2.5), f)
         assert u.a[0] == 0.0
 
 
@@ -84,13 +119,13 @@ class TestFirstOrderHomogeneous:
 
     def test_discretely_homogeneous(self):
         (u,) = homogeneous_starts(FirstOrderOp(2.0), 24)
-        res = first_order_residual(FirstOrderOp(2.0), u, ChebCoeffs.zeros(24))
+        res = residual(FirstOrderOp(2.0), u, ChebCoeffs.zeros(24))
         assert np.max(np.abs(res)) <= 1e-14
 
 
 class TestSecondOrderParticular:
     def test_pure_double_integration(self):
-        u = second_order_particular(SecondOrderOp(0.0, 0.0), ChebCoeffs.unit(8, 0))
+        u = particular(SecondOrderOp(0.0, 0.0), ChebCoeffs.unit(8, 0))
         expect = np.zeros(9)
         expect[2] = 0.25
         np.testing.assert_allclose(u.a, expect, atol=1e-15)
@@ -98,13 +133,13 @@ class TestSecondOrderParticular:
     def test_manufactured_t3(self):
         # f = (D^2 + 2D + 5) T_3 = 20y^3 + 24y^2 + 9y - 6
         f = function_to_coeffs(lambda y: 20 * y**3 + 24 * y**2 + 9 * y - 6, 16)
-        u = second_order_particular(SecondOrderOp(2.0, 5.0), f)
+        u = particular(SecondOrderOp(2.0, 5.0), f)
         np.testing.assert_allclose(u.a, ChebCoeffs.unit(16, 3).a, atol=1e-12)
 
     def test_residual_of_m1_series_is_empty(self):
         # rows n = 2..M-1: none at M = 1
         u = ChebCoeffs(1, np.ones(2))
-        assert second_order_residual(SecondOrderOp(1.0, 2.0), u, u).shape == (0,)
+        assert residual(SecondOrderOp(1.0, 2.0), u, u).shape == (0,)
 
     def test_huge_coefficient_residual_at_roundoff(self):
         # (D^2 - a^2) u = -(pi^2 + a^2) sin(pi y) at a = 1e6, M = 30: the
@@ -113,19 +148,15 @@ class TestSecondOrderParticular:
         a = 1e6
         op = SecondOrderOp(0.0, -(a**2))
         f = function_to_coeffs(lambda y: -(np.pi**2 + a**2) * np.sin(np.pi * y), 30)
-        u = second_order_particular(op, f)
-        res = second_order_residual(op, u, f)
+        u = particular(op, f)
+        res = residual(op, u, f)
         scale = np.max(np.abs(double_integral_rows(f)))
         assert np.max(np.abs(res)) <= 1e-13 * scale
 
     def test_integral_conditions_exact(self):
         f = function_to_coeffs(np.cos, 20)
-        u = second_order_particular(SecondOrderOp(1.0, -2.0), f)
+        u = particular(SecondOrderOp(1.0, -2.0), f)
         assert u.a[0] == 0.0 and u.a[1] == 0.0
-
-    def test_rejects_small_grid(self):
-        with pytest.raises(ValueError):
-            second_order_particular(SecondOrderOp(0.0, 1.0), ChebCoeffs.zeros(4))
 
 
 class TestSecondOrderHomogeneous:
@@ -139,7 +170,7 @@ class TestSecondOrderHomogeneous:
     def test_cosh_space_residual(self):
         op = SecondOrderOp(0.0, -4.0)
         u = homogeneous_starts(op, 32)[0]
-        res = second_order_residual(op, u, ChebCoeffs.zeros(32))
+        res = residual(op, u, ChebCoeffs.zeros(32))
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_second_kind_trivial(self):
@@ -149,7 +180,7 @@ class TestSecondOrderHomogeneous:
     def test_second_kind_residual(self):
         op = SecondOrderOp(1.0, 0.0)
         u = homogeneous_starts(op, 24)[1]
-        res = second_order_residual(op, u, ChebCoeffs.zeros(24))
+        res = residual(op, u, ChebCoeffs.zeros(24))
         assert np.max(np.abs(res)) <= 1e-12
 
     @pytest.mark.parametrize("op", [SecondOrderOp(1.0, 2.0), SecondOrderOp(-5.0, 100.0)])
@@ -169,8 +200,8 @@ class TestProperties:
     def test_first_order_residual_property(self, a, m, seed):
         op = FirstOrderOp(a)
         f = ChebCoeffs(m, np.random.default_rng(seed).standard_normal(m + 1))
-        u = first_order_particular(op, f)
-        res = first_order_residual(op, u, f)
+        u = particular(op, f)
+        res = residual(op, u, f)
         scale = max(np.max(np.abs(integral_rows(f))), 1e-30)
         assert np.max(np.abs(res)) <= 1e-13 * max(scale, np.max(np.abs(u.a)) * max(1.0, abs(a)))
 
@@ -184,8 +215,8 @@ class TestProperties:
     def test_second_order_residual_property(self, b, c, m, seed):
         op = SecondOrderOp(b, c)
         f = ChebCoeffs(m, np.random.default_rng(seed).standard_normal(m + 1))
-        u = second_order_particular(op, f)
-        res = second_order_residual(op, u, f)
+        u = particular(op, f)
+        res = residual(op, u, f)
         scale = max(np.max(np.abs(double_integral_rows(f))), 1e-30)
         bound = max(scale, np.max(np.abs(u.a)) * max(1.0, abs(b), abs(c)))
         assert np.max(np.abs(res)) <= 1e-13 * bound

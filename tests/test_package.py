@@ -41,8 +41,9 @@ MODULE_ONLY = [
     "diffmat.diff_endpoint_row",
     "factored.fit_boundary",
     "factored.solve_chains",
-    "integration.first_order_particular",
-    "integration.second_order_particular",
+    "integration.factor_matrix",
+    "integration.particular",
+    "integration.residual",
     "piecewise.eval_piecewise",
     "problems.exact_function",
 ]

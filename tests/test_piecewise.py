@@ -203,6 +203,12 @@ class TestSpectralBackend:
         with pytest.raises(ValueError, match="finite"):
             PiecewiseGrid(np.array(nodes), (16, 16))
 
+    @pytest.mark.parametrize("nodes", [[-1e308, 1e308], [-1e308, -0.9e308, 0.95e308, 1e308]])
+    def test_overflowing_interval_width_rejected(self, nodes):
+        # the width overflows to inf; tier-1 turns the subtraction's RuntimeWarning into an error
+        with pytest.raises(ValueError, match="^interval widths must be finite$"):
+            PiecewiseGrid(np.array(nodes), (16,) * (len(nodes) - 1))
+
     def test_degenerate_nodes_reported(self):
         op = OperatorFactorization(linear=(FirstOrderOp(0.0), FirstOrderOp(0.0)))
         grid = PiecewiseGrid(np.array([-1.0, 0.0, 1.0]), (8, 8))

@@ -36,8 +36,7 @@ from chebbvp.integration import (
     SecondOrderOp,
     _first_order_factorization,
     _second_order_factorization,
-    first_order_particular,
-    second_order_particular,
+    particular,
 )
 from chebbvp.problems import exact_function, parse_problem
 
@@ -119,7 +118,7 @@ class TestTruncatedSolve:
         # the order-(K + 2) factors differ from its leading columns, yet the leading solve keeps every normal entry
         m, op = 65536, SecondOrderOp(3e5, 2e10)
         f = ChebCoeffs.unit(m, 0)
-        full, x = full_then_truncated(lambda: second_order_particular(op, f).a[2:m])
+        full, x = full_then_truncated(lambda: particular(op, f).a[2:m])
         k = int(np.flatnonzero(x)[-1]) + 1
         assert k < 20480 < m - 2
         assert _second_order_factorization(op, m).ipiv[:20480].max() >= 20480
@@ -144,7 +143,7 @@ class TestTruncatedSolve:
         f = ChebCoeffs.unit(m, 0)
         sizes, solve = [], integration.banded_solve
         monkeypatch.setattr(integration, "banded_solve", lambda fac, rhs: sizes.append(fac.n) or solve(fac, rhs))
-        x = second_order_particular(op, f).a[2:m]
+        x = particular(op, f).a[2:m]
         assert sizes == [8192, m - 2]
         np.testing.assert_array_equal(x, full_solve(_second_order_factorization(op, m), double_integral_rows(f)))
 
@@ -178,9 +177,9 @@ class TestTruncatedSolve:
 
     def test_too_small_orders_raise(self):
         with pytest.raises(ValueError, match="M >= 3"):
-            first_order_particular(FirstOrderOp(1.0), ChebCoeffs.zeros(2))
+            particular(FirstOrderOp(1.0), ChebCoeffs.zeros(2))
         with pytest.raises(ValueError, match="M >= 5"):
-            second_order_particular(SecondOrderOp(1.0, 1.0), ChebCoeffs.zeros(4))
+            particular(SecondOrderOp(1.0, 1.0), ChebCoeffs.zeros(4))
 
     @pytest.mark.parametrize(
         "factorization, op, r",
@@ -212,13 +211,13 @@ class TestSupport:
     """Every chain producer hands over a support past which its coefficients are +0.0."""
 
     @pytest.mark.parametrize(
-        "op, particular, factorization, stencil",
+        "op, factorization, stencil",
         [
-            (FirstOrderOp(1e4), first_order_particular, _first_order_factorization, integral_rows),
-            (SecondOrderOp(0.0, -1e8), second_order_particular, _second_order_factorization, double_integral_rows),
+            (FirstOrderOp(1e4), _first_order_factorization, integral_rows),
+            (SecondOrderOp(0.0, -1e8), _second_order_factorization, double_integral_rows),
         ],
     )
-    def test_truncated_and_full_particular_solves(self, monkeypatch, op, particular, factorization, stencil):
+    def test_truncated_and_full_particular_solves(self, monkeypatch, op, factorization, stencil):
         m = 65536
         sizes, solve = [], integration.banded_solve
         monkeypatch.setattr(integration, "banded_solve", lambda fac, rhs: sizes.append(fac.n) or solve(fac, rhs))
